@@ -2,32 +2,19 @@
 
 Workload: random NBTA^u with a growing number of vertical states (the
 horizontal languages are random letterwise NFAs).  Measured: the
-reachability fixpoint — polynomial growth, in contrast to the EXPTIME
-procedures of bench_nonemptiness.py — once per engine: the default
-frontier sets vs the ``numpy`` successor-mask kernel (skipped when
-numpy is absent).
+reachability fixpoint on Python-int frontier masks — polynomial growth,
+in contrast to the EXPTIME procedures of bench_nonemptiness.py — and
+witness extraction.
 """
 
 import random
 
 import pytest
 
-from repro.perf import npkernel
 from repro.strings.nfa import NFA
 from repro.unranked.nbta import UnrankedTreeAutomaton
 
 SIZES = [4, 8, 16]
-
-ENGINES = [
-    pytest.param(None, id="bitset"),
-    pytest.param(
-        "numpy",
-        id="numpy",
-        marks=pytest.mark.skipif(
-            not npkernel.available(), reason="numpy not installed"
-        ),
-    ),
-]
 
 
 def random_nbta(states_count: int, seed: int) -> UnrankedTreeAutomaton:
@@ -56,19 +43,15 @@ def random_nbta(states_count: int, seed: int) -> UnrankedTreeAutomaton:
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("size", SIZES)
-def test_emptiness_fixpoint(benchmark, size, engine):
+def test_emptiness_fixpoint(benchmark, size):
     nbta = random_nbta(size, size)
-    benchmark.extra_info["engine"] = engine or "bitset"
-    benchmark(nbta.is_empty, engine=engine)
+    benchmark(nbta.is_empty)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("size", SIZES)
-def test_witness_extraction(benchmark, size, engine):
+def test_witness_extraction(benchmark, size):
     nbta = random_nbta(size, size + 1)
-    benchmark.extra_info["engine"] = engine or "bitset"
-    witness = benchmark(nbta.witness, engine=engine)
+    witness = benchmark(nbta.witness)
     if witness is not None:
         assert nbta.accepts(witness)

@@ -13,10 +13,9 @@ CPU count — scaling beyond the physical core count is not expected) into
 ``extra_info``, and every parallel result is asserted byte-identical to
 the serial one before it may be timed.
 
-``test_transport_setup_cost`` rows time the *cold* path per transport —
-spawn workers, ship the query, map one small corpus — contrasting the
-pickle channel against the shared-memory segment (spec-in-segment, and
-the dense numpy program when numpy is installed).
+``test_worker_setup_cost`` rows time the *cold* path — spawn workers,
+ship the pickled query, map one small corpus — once per engine (the
+default table engine, and the numpy kernel when numpy is installed).
 """
 
 import os
@@ -39,15 +38,14 @@ JOBS_CURVE = [1, 2] if SMOKE else [1, 2, 4]
 SETUP_JOBS = 2
 SETUP_PASSES = 2 if SMOKE else 6
 
-_needs_numpy = pytest.mark.skipif(
-    not npkernel.available(), reason="numpy not installed"
-)
-TRANSPORTS = [
-    pytest.param(("pickle", None), id="pickle"),
-    pytest.param(("pickle", "numpy"), id="pickle-numpy", marks=_needs_numpy),
-    pytest.param(("shared_memory", None), id="shm-spec"),
+SETUP_ENGINES = [
+    pytest.param(None, id="default"),
     pytest.param(
-        ("shared_memory", "numpy"), id="shm-program", marks=_needs_numpy
+        "numpy",
+        id="numpy",
+        marks=pytest.mark.skipif(
+            not npkernel.available(), reason="numpy not installed"
+        ),
     ),
 ]
 
@@ -123,23 +121,19 @@ def test_scaling_curve(benchmark, query, trees, serial_results):
         assert benchmark(executor.map, trees) == serial_results
 
 
-@pytest.mark.parametrize("transport_engine", TRANSPORTS)
-def test_transport_setup_cost(benchmark, transport_engine):
-    """Cold start per transport: spawn, ship the query, map one corpus.
+@pytest.mark.parametrize("engine", SETUP_ENGINES)
+def test_worker_setup_cost(benchmark, engine):
+    """Cold start per engine: spawn, ship the pickled query, map one corpus.
 
-    Wall clock is dominated by process spawn (identical across
-    transports), so the transport-specific numbers land in
-    ``extra_info``: ``worker_init_ms`` (the ``parallel.worker_init_ns``
-    gauge — time a worker spent receiving the query and building or
-    attaching its engine) and ``worker_closure_steps`` /
-    ``worker_rebuilds`` (behavior-closure work the workers performed
-    themselves — the pickle transport makes *every* worker re-derive
-    the closure, the shared-memory program transport ships it
-    pre-computed and the workers do none).
+    Wall clock is dominated by process spawn, so the per-worker numbers
+    land in ``extra_info``: ``worker_init_ms`` (the
+    ``parallel.worker_init_ns`` gauge — time a worker spent unpickling
+    the query and building its engine) and ``worker_closure_steps`` /
+    ``worker_rebuilds`` (dense-closure work the numpy workers performed
+    themselves; every worker re-derives it).
     """
     from repro import obs
 
-    transport, engine = transport_engine
     qa = multi_sweep_query_automaton(SETUP_PASSES)
     rng = random.Random(0x5E7)
     words = [
@@ -148,17 +142,14 @@ def test_transport_setup_cost(benchmark, transport_engine):
     expected = [qa.evaluate(word) for word in words]
 
     def cold_run():
-        with ParallelExecutor(
-            qa, jobs=SETUP_JOBS, transport=transport, engine=engine
-        ) as executor:
+        with ParallelExecutor(qa, jobs=SETUP_JOBS, engine=engine) as executor:
             return executor.map(words)
 
-    assert cold_run() == expected  # warm the parent-side export cache
+    assert cold_run() == expected  # warm-up: parent-side imports and engines
     with obs.collecting() as stats:
         assert cold_run() == expected
     report = stats.report()
     counters = report["counters"]
-    benchmark.extra_info["transport"] = transport
     benchmark.extra_info["engine"] = engine or "default"
     benchmark.extra_info["jobs"] = SETUP_JOBS
     benchmark.extra_info["documents"] = len(words)

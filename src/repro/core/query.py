@@ -24,6 +24,18 @@ from ..unranked.dbta import DeterministicUnrankedAutomaton, evaluate_marked_quer
 from ..unranked.twoway import UnrankedQueryAutomaton
 
 
+def _check_engine(engine: str, valid: tuple[str, ...]) -> None:
+    """Reject a misspelled ``engine=`` when the query is built.
+
+    Raises the uniform :func:`repro.perf.registry.unknown_engine`
+    ``ValueError`` rather than silently running the default strategy.
+    """
+    if engine not in valid:
+        from ..perf.registry import unknown_engine
+
+        raise unknown_engine(engine, valid)
+
+
 class Query:
     """A unary query over Σ-trees."""
 
@@ -58,6 +70,9 @@ class MSOQuery(Query):
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        _check_engine(self.engine, ("naive", "automaton", "fast"))
+
     def compiled(self) -> DeterministicUnrankedAutomaton:
         """The marked-alphabet automaton (compiled on first use)."""
         if self._compiled is None:
@@ -90,6 +105,9 @@ class RankedAutomatonQuery(Query):
     automaton: RankedQueryAutomaton
     engine: str = "behavior"
 
+    def __post_init__(self) -> None:
+        _check_engine(self.engine, ("simulate", "behavior"))
+
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""
         if self.engine == "simulate":
@@ -109,6 +127,9 @@ class UnrankedAutomatonQuery(Query):
 
     automaton: UnrankedQueryAutomaton
     engine: str = "behavior"
+
+    def __post_init__(self) -> None:
+        _check_engine(self.engine, ("simulate", "behavior", "fast"))
 
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""
@@ -131,6 +152,9 @@ class CompiledQuery(Query):
 
     automaton: DeterministicUnrankedAutomaton
     engine: str = "two_pass"
+
+    def __post_init__(self) -> None:
+        _check_engine(self.engine, ("two_pass", "fast"))
 
     def evaluate(self, tree: Tree) -> frozenset[Path]:
         """Selected node paths of the tree."""

@@ -221,132 +221,16 @@ def _frontier_accepts(snfa: StringSelectionNFA, frontier: frozenset) -> bool:
     return False
 
 
-def _numpy_kernel(engine: str | None):
-    """Resolve ``engine=`` ("antichain" default / "numpy") for the searches."""
-    if engine is None or engine == "antichain":
-        return None
-    if engine != "numpy":
-        raise ValueError(f"unknown decision engine {engine!r}")
-    from ..perf import npkernel
-
-    if npkernel.available():
-        return npkernel
-    obs.SINK.incr("npkernel.fallbacks")
-    return None
-
-
-def _query_witness_numpy(kernel, qa, alphabet):
-    """:func:`string_query_witness` with vectorized antichain domination.
-
-    Identical BFS order and pruning rule; frontier members are interned
-    on the fly and the ⊆ tests run over the whole antichain at once.
-    """
-    from ..perf.bitset import Interner
-
-    sink = obs.SINK
-    sink.incr("antichain.searches")
-    snfa = StringSelectionNFA(qa)
-    letters = _marked_letters(alphabet)
-    interner = Interner()
-    antichain = kernel.MaskAntichain(1)
-
-    def packed(states):
-        ids = [interner.intern(state) for state in states]
-        width = max(1, (len(interner) + 7) // 8)
-        antichain.widen(width)
-        return kernel.pack_ids(ids, width)
-
-    start = snfa.initial_states()
-    antichain.insert(packed(start))
-    frontier: list[tuple[frozenset, tuple]] = [(start, ())]
-    while frontier:
-        next_frontier: list[tuple[frozenset, tuple]] = []
-        for states, word in frontier:
-            for letter in letters:
-                target = _frontier_step(snfa, states, letter)
-                if not target:
-                    continue
-                new_word = word + (letter,)
-                if _frontier_accepts(snfa, target):
-                    return _decode_witness(new_word)
-                mask = packed(target)
-                if antichain.covers(mask):
-                    sink.incr("antichain.prunes")
-                    continue
-                antichain.insert(mask)
-                if sink.enabled:
-                    sink.incr("antichain.expansions")
-                    sink.gauge_max("antichain.max_size", len(antichain))
-                next_frontier.append((target, new_word))
-        frontier = next_frontier
-    return None
-
-
-def _containment_numpy(kernel, first, second, alphabet):
-    """:func:`string_containment_counterexample` on mask-pair antichains."""
-    from ..perf.bitset import Interner
-
-    sink = obs.SINK
-    sink.incr("antichain.searches")
-    left = StringSelectionNFA(first)
-    right = StringSelectionNFA(second)
-    letters = _marked_letters(alphabet)
-    left_interner = Interner()
-    right_interner = Interner()
-    antichain = kernel.PairMaskAntichain(1, 1)
-
-    def packed(pair):
-        s1, s2 = pair
-        ids1 = [left_interner.intern(state) for state in s1]
-        ids2 = [right_interner.intern(state) for state in s2]
-        w1 = max(1, (len(left_interner) + 7) // 8)
-        w2 = max(1, (len(right_interner) + 7) // 8)
-        antichain.widen(w1, w2)
-        return kernel.pack_ids(ids1, w1), kernel.pack_ids(ids2, w2)
-
-    start = (left.initial_states(), right.initial_states())
-    antichain.insert(*packed(start))
-    frontier: list[tuple[tuple, tuple]] = [(start, ())]
-    while frontier:
-        next_frontier: list[tuple[tuple, tuple]] = []
-        for (s1, s2), word in frontier:
-            for letter in letters:
-                t1 = _frontier_step(left, s1, letter)
-                if not t1:
-                    continue  # the first query can never select this word
-                t2 = _frontier_step(right, s2, letter)
-                new_word = word + (letter,)
-                if _frontier_accepts(left, t1) and not _frontier_accepts(
-                    right, t2
-                ):
-                    return _decode_witness(new_word)
-                m1, m2 = packed((t1, t2))
-                if antichain.covers(m1, m2):
-                    sink.incr("antichain.prunes")
-                    continue
-                antichain.insert(m1, m2)
-                if sink.enabled:
-                    sink.incr("antichain.expansions")
-                    sink.gauge_max("antichain.max_size", len(antichain))
-                next_frontier.append(((t1, t2), new_word))
-        frontier = next_frontier
-    return None
-
-
 def string_query_witness(
-    qa: StringQueryAutomaton, alphabet: Sequence, engine: str | None = None
+    qa: StringQueryAutomaton, alphabet: Sequence
 ) -> tuple[list, int] | None:
     """Non-emptiness: some ``(w, i)`` with ``i ∈ A(w)``, or ``None``.
 
     Level-order BFS on the lazy selection NFA's subset frontiers with
     antichain pruning (a frontier contained in an explored frontier can
     reach acceptance no sooner), never materializing or determinizing the
-    exponential NFA.  ``engine="numpy"`` keeps the identical BFS but runs
-    the antichain domination tests vectorized over packed masks.
+    exponential NFA.
     """
-    kernel = _numpy_kernel(engine)
-    if kernel is not None:
-        return _query_witness_numpy(kernel, qa, alphabet)
     sink = obs.SINK
     sink.incr("antichain.searches")
     snfa = StringSelectionNFA(qa)
@@ -383,7 +267,6 @@ def string_containment_counterexample(
     first: StringQueryAutomaton,
     second: StringQueryAutomaton,
     alphabet: Sequence,
-    engine: str | None = None,
 ) -> tuple[list, int] | None:
     """A ``(w, i)`` selected by ``first`` but not ``second`` (Thm 6.4 on strings).
 
@@ -392,11 +275,7 @@ def string_containment_counterexample(
     ``S₂`` does not; a pair with smaller ``S₁`` and larger ``S₂`` than an
     explored pair is dominated and pruned.  Avoids determinizing and
     complementing the second query's exponential selection NFA.
-    ``engine="numpy"`` vectorizes the pair-domination tests.
     """
-    kernel = _numpy_kernel(engine)
-    if kernel is not None:
-        return _containment_numpy(kernel, first, second, alphabet)
     sink = obs.SINK
     sink.incr("antichain.searches")
     left = StringSelectionNFA(first)
@@ -441,14 +320,9 @@ def string_queries_equivalent(
     first: StringQueryAutomaton,
     second: StringQueryAutomaton,
     alphabet: Sequence,
-    engine: str | None = None,
 ) -> bool:
     """Do two QA^string compute the same query?  Two antichain containments."""
     return (
-        string_containment_counterexample(first, second, alphabet, engine=engine)
-        is None
-        and string_containment_counterexample(
-            second, first, alphabet, engine=engine
-        )
-        is None
+        string_containment_counterexample(first, second, alphabet) is None
+        and string_containment_counterexample(second, first, alphabet) is None
     )

@@ -65,8 +65,9 @@ def compile_query_string(pattern: str, alphabet: Sequence[str], engine: str = "a
     Dispatches on prefix: ``"xpath:"`` → :func:`xpath_query`, ``"mso:"``
     → :func:`mso_query`, no prefix → the legacy
     :func:`repro.core.patterns.compile_pattern` language.  ``engine``
-    selects the query representation exactly as for
-    ``compile_pattern`` (``"automaton"`` or ``"sqa"``).
+    is the :class:`~repro.core.query.MSOQuery` evaluation strategy
+    (``"automaton"``, ``"fast"`` or ``"naive"``); the strong query
+    automaton route is :func:`compile_query_sqa`.
     """
     kind, body = split_prefix(pattern)
     if kind == "xpath":

@@ -337,8 +337,14 @@ class _Compiler:
         )
 
 
-def _check_engine(engine: str) -> bool:
-    """True for the optimized pipeline, False for naive; else raise."""
+def check_compile_engine(engine: str) -> bool:
+    """True for the optimized pipeline, False for naive; else raise.
+
+    The one ``engine=`` check of every MSO compiler entry point — string
+    and tree compilation and the Theorem 4.8 / 5.17 query-automaton
+    builders — so a misspelling raises :class:`CompilationError`
+    everywhere instead of silently selecting a pipeline.
+    """
     if engine not in ("optimized", "naive"):
         raise CompilationError(f"unknown compile engine {engine!r}")
     return engine == "optimized"
@@ -386,7 +392,7 @@ def compile_sentence(
     """
     if sentence.free_vars() or sentence.free_set_vars():
         raise CompilationError("a sentence may not have free variables")
-    if not _check_engine(engine):
+    if not check_compile_engine(engine):
         return _build_sentence_dfa(sentence, alphabet, optimize=False)
     from ..perf.compile import cached
 
@@ -424,7 +430,7 @@ def compile_query(
     free = formula.free_vars()
     if not free <= {var} or formula.free_set_vars():
         raise CompilationError(f"free variables {free!r} must be exactly {{{var!r}}}")
-    if _check_engine(engine):
+    if check_compile_engine(engine):
         from ..perf.compile import cached
 
         return cached(

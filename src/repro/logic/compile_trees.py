@@ -27,7 +27,7 @@ from ..strings.nfa import NFA
 from ..strings.regex import Atom, Regex, Star, concat_all, to_nfa, union_all
 from ..unranked.dbta import DeterministicUnrankedAutomaton, determinize
 from ..unranked.nbta import UnrankedTreeAutomaton
-from .compile_strings import CompilationError
+from .compile_strings import CompilationError, check_compile_engine
 from .syntax import (
     And,
     Descendant,
@@ -461,13 +461,6 @@ def _counting_language(states: frozenset, needed: tuple) -> NFA:
     return NFA.build(dfa_states, states, transitions, {needed}, {zero})
 
 
-def _check_tree_engine(engine: str) -> bool:
-    """True for the optimized pipeline, False for naive; else raise."""
-    if engine not in ("optimized", "naive"):
-        raise CompilationError(f"unknown compile engine {engine!r}")
-    return engine == "optimized"
-
-
 def compile_tree_nbta(
     formula: Formula,
     tracks: Tracks,
@@ -475,7 +468,7 @@ def compile_tree_nbta(
     engine: str = "optimized",
 ) -> UnrankedTreeAutomaton:
     """Compile with explicit tracks (advanced use; see the two wrappers)."""
-    optimize = _check_tree_engine(engine)
+    optimize = check_compile_engine(engine)
     return _TreeCompiler(frozenset(alphabet), optimize=optimize).compile(
         formula, tracks
     )
@@ -503,7 +496,7 @@ def compile_tree_sentence(
     """
     if sentence.free_vars() or sentence.free_set_vars():
         raise CompilationError("a sentence may not have free variables")
-    if not _check_tree_engine(engine):
+    if not check_compile_engine(engine):
         return _build_tree_sentence(sentence, alphabet, optimize=False)
     from ..perf.compile import cached
 
@@ -540,7 +533,7 @@ def compile_tree_query(
     free = formula.free_vars()
     if not free <= {var} or formula.free_set_vars():
         raise CompilationError(f"free variables {free!r} must be exactly {{{var!r}}}")
-    if not _check_tree_engine(engine):
+    if not check_compile_engine(engine):
         return _build_tree_query(formula, var, alphabet, optimize=False)
     from ..perf.compile import cached
 

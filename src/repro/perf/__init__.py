@@ -22,20 +22,20 @@ This package makes query evaluation single-sweep and cached end-to-end:
   construction, NBTA emptiness, and the packed worklist closure of
   :mod:`repro.decision.closure`;
 * :mod:`~repro.perf.npkernel` — the optional numpy kernel behind
-  ``engine="numpy"``: dense two-sweep scans for string QAs/GSQAs (whole
-  words and batches as array gathers plus a logarithmic prefix-composition
-  scan), packbits successor masks and vectorized antichains for the
-  NBTA-emptiness and decision searches, and the exported dense programs
-  the shared-memory parallel transport maps into workers.  Falls back to
-  the table/bitset engines — counted in ``npkernel.fallbacks`` — whenever
-  numpy is missing;
+  ``engine="numpy"`` for string QAs/GSQAs: dense two-sweep scans (whole
+  words and batches as array gathers plus a logarithmic
+  prefix-composition scan);
 * :mod:`~repro.perf.nptrees` — the tree side of the numpy kernel: a
   struct-of-arrays postorder document encoding with globally interned
   subtree types, per-distinct-type bottom-up state passes (child-sequence
-  sweeps through the Cayley scan), vectorized level-order Figure 5 /
-  Lemma 5.16 propagation, and :func:`~repro.perf.nptrees
-  .export_tree_program` freezing the dense per-label classifier tables
-  for the shared-memory transport.
+  sweeps through the Cayley scan), and vectorized level-order Figure 5 /
+  Lemma 5.16 propagation.
+
+The two numpy kernels are not imported by this package: the one resolver
+:func:`repro.perf.registry.numpy_kernel` imports them on the first
+``engine="numpy"`` request, so default-engine paths never load numpy.
+Without numpy installed they fall back to the table engines, counted in
+``npkernel.fallbacks``.
 
 The naive simulators in :mod:`repro.strings`, :mod:`repro.ranked` and
 :mod:`repro.unranked` remain the reference oracles; the differential
@@ -60,20 +60,7 @@ from .minimize import (
     minimize_dbta,
     moore_minimized,
 )
-from .nptrees import (
-    AttachedTreeEngine,
-    EncodedDocument,
-    NumpyMarkedEngine,
-    NumpyUnrankedEngine,
-    export_tree_program,
-    tree_kernel,
-)
-from .parallel import (
-    ParallelExecutor,
-    default_jobs,
-    default_transport,
-    parallel_map,
-)
+from .parallel import ParallelExecutor, default_jobs, parallel_map
 from .registry import EngineRegistry
 from .shard import ShardError
 from .strings import (
@@ -83,7 +70,6 @@ from .strings import (
     fast_evaluate,
     fast_final_state,
     fast_transduce,
-    numpy_kernel,
 )
 from .table import BehaviorTable
 from .trees import (
@@ -95,15 +81,11 @@ from .trees import (
 )
 
 __all__ = [
-    "AttachedTreeEngine",
     "BehaviorTable",
     "CompileCache",
-    "EncodedDocument",
     "EngineRegistry",
     "Interner",
     "MarkedQueryEngine",
-    "NumpyMarkedEngine",
-    "NumpyUnrankedEngine",
     "PackedNFA",
     "ParallelExecutor",
     "ShardError",
@@ -111,8 +93,6 @@ __all__ = [
     "TransductionEngine",
     "UnrankedQueryEngine",
     "batch_evaluate",
-    "export_tree_program",
-    "tree_kernel",
     "cached",
     "canonical_key",
     "compile_cache_clear",
@@ -121,7 +101,6 @@ __all__ = [
     "canonical_relabeled_dbta",
     "dbta_equivalent",
     "default_jobs",
-    "default_transport",
     "evaluate_one",
     "fast_accepts",
     "fast_evaluate",
@@ -136,7 +115,6 @@ __all__ = [
     "marked_engine",
     "minimize_dbta",
     "moore_minimized",
-    "numpy_kernel",
     "parallel_map",
     "set_disk_cache",
 ]

@@ -27,9 +27,8 @@ from .. import obs
 from ..strings.twoway import GeneralizedStringQA, StringQueryAutomaton
 from ..unranked.dbta import DeterministicUnrankedAutomaton, evaluate_marked_query
 from ..unranked.twoway import UnrankedQueryAutomaton
-from .nptrees import tree_kernel
-from .registry import validate_engine
-from .strings import _QUERY_ENGINES, _TRANSDUCERS, numpy_kernel
+from .registry import numpy_kernel, validate_engine
+from .strings import _QUERY_ENGINES, _TRANSDUCERS
 from .trees import _MARKED_ENGINES, _UNRANKED_ENGINES
 
 
@@ -48,8 +47,10 @@ def _engine_call(query, engine: str | None = None):
 
     ``engine="numpy"`` selects the vectorized kernels — the string kernel
     of :mod:`repro.perf.npkernel` and the tree kernel of
-    :mod:`repro.perf.nptrees`; without numpy installed the choice
-    degrades to the table/dict engines behind ``npkernel.fallbacks``.
+    :mod:`repro.perf.nptrees`, both resolved (and imported) by
+    :func:`repro.perf.registry.numpy_kernel`; without numpy installed
+    the choice degrades to the table/dict engines behind
+    ``npkernel.fallbacks``.
     ``engine="naive"`` selects the uncached differential oracles (cut
     simulation for query automata, the uncached two-pass for compiled
     queries); ``None`` / ``"table"`` the interned-dict default engines.
@@ -74,14 +75,14 @@ def _engine_call(query, engine: str | None = None):
     if isinstance(query, UnrankedQueryAutomaton):
         if engine == "naive":
             return query.evaluate
-        kernel = tree_kernel(engine)
+        kernel = numpy_kernel(engine, trees=True)
         if kernel is not None:
             return kernel.unranked_engine(query).evaluate
         return _UNRANKED_ENGINES.get(query).evaluate
     if isinstance(query, DeterministicUnrankedAutomaton):
         if engine == "naive":
             return _uncached_marked(query)
-        kernel = tree_kernel(engine)
+        kernel = numpy_kernel(engine, trees=True)
         if kernel is not None:
             return kernel.marked_engine(query).evaluate
         return _MARKED_ENGINES.get(query).evaluate
@@ -95,21 +96,21 @@ def _engine_call(query, engine: str | None = None):
             return query.evaluate
         if engine == "naive":
             return _uncached_marked(query.compiled())
-        kernel = tree_kernel(engine)
+        kernel = numpy_kernel(engine, trees=True)
         if kernel is not None:
             return kernel.marked_engine(query.compiled()).evaluate
         return _MARKED_ENGINES.get(query.compiled()).evaluate
     if isinstance(query, CompiledQuery):
         if engine == "naive":
             return _uncached_marked(query.automaton)
-        kernel = tree_kernel(engine)
+        kernel = numpy_kernel(engine, trees=True)
         if kernel is not None:
             return kernel.marked_engine(query.automaton).evaluate
         return _MARKED_ENGINES.get(query.automaton).evaluate
     if isinstance(query, UnrankedAutomatonQuery):
         if engine == "naive":
             return query.automaton.evaluate
-        kernel = tree_kernel(engine)
+        kernel = numpy_kernel(engine, trees=True)
         if kernel is not None:
             return kernel.unranked_engine(query.automaton).evaluate
         return _UNRANKED_ENGINES.get(query.automaton).evaluate
@@ -128,11 +129,15 @@ def batch_evaluate(query, inputs: Iterable, engine: str | None = None) -> list:
     evaluated in one flat vectorized scan (offset-indexed ragged layout —
     see :mod:`repro.perf.npkernel`) rather than word by word.
     """
-    kernel = numpy_kernel(engine) if engine == "numpy" else None
-    if kernel is not None:
-        if isinstance(query, StringQueryAutomaton):
+    if engine == "numpy" and isinstance(
+        query, (StringQueryAutomaton, GeneralizedStringQA)
+    ):
+        kernel = numpy_kernel(engine)
+        if kernel is None:  # numpy missing: one fallback, counted above
+            engine = None
+        elif isinstance(query, StringQueryAutomaton):
             return _count_batch(kernel.query_engine(query).evaluate_batch(list(inputs)))
-        if isinstance(query, GeneralizedStringQA):
+        else:
             return _count_batch(
                 kernel.transducer_engine(query).transduce_batch(list(inputs))
             )

@@ -50,8 +50,7 @@ from .. import obs
 from ..trees.tree import Path, Tree
 from ..unranked.dbta import DeterministicUnrankedAutomaton
 from ..unranked.twoway import UnrankedQueryAutomaton
-from .npkernel import KernelOverflowError
-from .registry import validate_engine
+from .registry import numpy_kernel, validate_engine
 from .trees import _MARKED_ENGINES, _UNRANKED_ENGINES
 
 #: Cap on a per-engine productivity memo.  A memo that outgrows the cap
@@ -351,7 +350,7 @@ def _numpy_marked_stream(engine, tree: Tree, encoding):
     because both paths are differentially identical), behind
     ``npkernel.overflows`` + ``enumerate.fallbacks``.
     """
-    from .nptrees import encode
+    from .nptrees import KernelOverflowError, encode
 
     count = 0
     try:
@@ -377,7 +376,7 @@ def _numpy_marked_stream(engine, tree: Tree, encoding):
 
 def _numpy_unranked_stream(engine, tree: Tree):
     """Stream a NumpyUnrankedEngine; overflow degrades to its dict oracle."""
-    from .nptrees import encode
+    from .nptrees import KernelOverflowError, encode
 
     count = 0
     try:
@@ -415,9 +414,7 @@ def _materialized(query, tree: Tree, engine: str | None):
 
 
 def _marked_stream(automaton, tree: Tree, engine, type_memo, encoding):
-    from .nptrees import tree_kernel
-
-    kernel = tree_kernel(engine)
+    kernel = numpy_kernel(engine, trees=True)
     if kernel is not None:
         np_engine = kernel.marked_engine(automaton)
         if not np_engine.dead:
@@ -427,9 +424,7 @@ def _marked_stream(automaton, tree: Tree, engine, type_memo, encoding):
 
 
 def _unranked_stream(qa, tree: Tree, engine):
-    from .nptrees import tree_kernel
-
-    kernel = tree_kernel(engine)
+    kernel = numpy_kernel(engine, trees=True)
     if kernel is not None:
         np_engine = kernel.unranked_engine(qa)
         if not np_engine.dead:

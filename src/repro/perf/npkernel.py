@@ -20,19 +20,10 @@ words) with array gathers and a logarithmic prefix-composition scan:
   :func:`repro.perf.strings.fast_evaluate` /
   :func:`~repro.perf.strings.fast_transduce` /
   :func:`repro.perf.batch.batch_evaluate`.
-* :class:`NumpyPackedNFA` — the bitset kernel's per-symbol successor
-  masks re-packed with :func:`numpy.packbits`: one ``(states, bytes)``
-  ``uint8`` row per symbol, so a frontier step is a row gather plus one
-  ``bitwise_or`` reduction, and the antichain stores
-  (:class:`MaskAntichain`, :class:`PairMaskAntichain`) decide domination
-  over the *whole* antichain in one vectorized subset test.  These power
-  ``engine="numpy"`` on the NBTA-emptiness and string-decision hot loops.
-* :func:`export_program` / :class:`AttachedStringEngine` — a fully
-  closed kernel serialized to one flat byte buffer (plus a small
-  header), the payload of the shared-memory transport in
-  :mod:`repro.perf.parallel`: workers attach array *views* instead of
-  re-deriving (or unpickling) the closure per worker.
 
+Callers reach this module only through
+:func:`repro.perf.registry.numpy_kernel`, which imports it on the first
+``engine="numpy"`` request — default-engine paths never load numpy.
 numpy is optional.  Every entry point degrades to the dict engines when
 it is missing (counted as ``npkernel.fallbacks``), and any per-word
 anomaly — an entry the closure could not compute because the underlying
@@ -45,7 +36,6 @@ this.
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Hashable, Sequence
 
 from .. import obs
@@ -94,10 +84,6 @@ _CODE_CONFLICT = 1
 def available() -> bool:
     """Is numpy importable in this process?"""
     return np is not None
-
-
-def _count_fallback() -> None:
-    obs.SINK.incr("npkernel.fallbacks")
 
 
 class KernelOverflowError(RuntimeError):
@@ -893,459 +879,3 @@ def query_engine(qa: StringQueryAutomaton) -> NumpyQueryEngine:
 def transducer_engine(gsqa: GeneralizedStringQA) -> NumpyTransducerEngine:
     """The shared numpy transducer of ``gsqa`` (requires numpy)."""
     return _NP_TRANSDUCERS.get(gsqa)
-
-
-# ----------------------------------------------------------------------
-# Packed-NFA successor kernel (NBTA emptiness, antichain searches)
-# ----------------------------------------------------------------------
-
-
-def _mask_to_bytes(mask: int, width: int):
-    """A Python-int bitset as a little-bit-order uint8 array."""
-    return np.frombuffer(mask.to_bytes(width, "little"), dtype=np.uint8)
-
-
-class NumpyPackedNFA:
-    """A :class:`~repro.perf.bitset.PackedNFA` with packbits successor rows.
-
-    ``rows[k]`` is a ``(states, width)`` uint8 matrix — the ε-closed
-    successor bitsets of symbol ``k``, eight states per byte — so one
-    frontier step is a row gather plus a single ``bitwise_or`` reduce,
-    independent of how many states the frontier holds.
-    """
-
-    def __init__(self, packed) -> None:
-        self.packed = packed
-        count = len(packed.states)
-        self.count = count
-        self.width = max(1, (count + 7) // 8)
-        self.symbols = packed.symbols
-        self.symbol_rows: dict = {}
-        matrices = []
-        for symbol in packed.symbols:
-            rows = packed.succ.get(symbol)
-            if rows is None:
-                continue
-            self.symbol_rows[symbol] = len(matrices)
-            matrices.append(
-                np.stack([_mask_to_bytes(mask, self.width) for mask in rows])
-            )
-        self.rows = (
-            np.stack(matrices)
-            if matrices
-            else np.zeros((0, count, self.width), dtype=np.uint8)
-        )
-        self.initial = _mask_to_bytes(packed.initial_mask, self.width).copy()
-        self.accepting = _mask_to_bytes(packed.accepting_mask, self.width).copy()
-        obs.SINK.incr("npkernel.packed_nfas")
-
-    def members(self, frontier) -> "np.ndarray":
-        """Indices of the states set in a packed frontier."""
-        return np.nonzero(
-            np.unpackbits(frontier, bitorder="little", count=self.count)
-        )[0]
-
-    def step_options(self, frontier, row_ids) -> "np.ndarray":
-        """OR of the successor rows of every (state, symbol) combination."""
-        members = self.members(frontier)
-        if not len(members) or not len(row_ids):
-            return np.zeros(self.width, dtype=np.uint8)
-        selected = self.rows[row_ids][:, members, :]
-        return np.bitwise_or.reduce(
-            selected.reshape(-1, self.width), axis=0
-        )
-
-    def step_symbol(self, frontier, symbol) -> "np.ndarray":
-        """The ε-closed successor frontier after one symbol."""
-        row = self.symbol_rows.get(symbol)
-        if row is None:
-            return np.zeros(self.width, dtype=np.uint8)
-        return self.step_options(frontier, [row])
-
-    def accepts(self, frontier) -> bool:
-        """Does the packed frontier contain an accepting state?"""
-        return bool(np.bitwise_and(frontier, self.accepting).any())
-
-
-_NP_PACKED: EngineRegistry[NumpyPackedNFA] = EngineRegistry(
-    NumpyPackedNFA, capacity=512, name="perf.np_packed_nfas"
-)
-
-
-def packed_nfa(packed) -> NumpyPackedNFA:
-    """The shared packbits view of a :class:`PackedNFA` (requires numpy)."""
-    return _NP_PACKED.get(packed)
-
-
-def word_of_sets_intersects(packed, child_sets) -> bool:
-    """Vectorized twin of the bitset frontier product over child sets."""
-    dense = packed_nfa(packed)
-    current = dense.initial
-    symbol_rows = dense.symbol_rows
-    for options in child_sets:
-        row_ids = [
-            symbol_rows[symbol] for symbol in options if symbol in symbol_rows
-        ]
-        current = dense.step_options(current, row_ids)
-        if not current.any():
-            return False
-    return dense.accepts(current)
-
-
-def pack_ids(ids, width: int):
-    """Interned ids as a little-bit-order uint8 mask of ``width`` bytes.
-
-    The glue between dynamically interned frontiers (the lazy selection
-    NFAs of :mod:`repro.decision.strings`) and the mask antichains below.
-    """
-    mask = np.zeros(width, dtype=np.uint8)
-    for index in ids:
-        mask[index >> 3] |= 1 << (index & 7)
-    return mask
-
-
-class MaskAntichain:
-    """⊆-maximal packed frontiers with whole-antichain domination tests.
-
-    One vectorized subset test replaces the per-member Python loop of the
-    bitset antichains: ``covers`` and ``insert`` each cost a single
-    ``(k, width)`` uint8 comparison regardless of the antichain size.
-    """
-
-    def __init__(self, width: int) -> None:
-        self._rows = np.zeros((0, width), dtype=np.uint8)
-
-    def widen(self, width: int) -> None:
-        """Grow the mask universe (new bits start unset in old rows)."""
-        missing = width - self._rows.shape[1]
-        if missing > 0:
-            self._rows = np.pad(self._rows, ((0, 0), (0, missing)))
-
-    def covers(self, mask) -> bool:
-        """Is ``mask`` ⊆ some stored frontier (i.e. dominated)?"""
-        if not len(self._rows):
-            return False
-        return bool(np.all(mask & ~self._rows == 0, axis=1).any())
-
-    def insert(self, mask) -> None:
-        """Add a ⊆-maximal frontier, dropping the rows it dominates."""
-        if len(self._rows):
-            keep = np.any(self._rows & ~mask != 0, axis=1)
-            self._rows = self._rows[keep]
-        self._rows = np.concatenate([self._rows, mask[None, :]])
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-class PairMaskAntichain:
-    """The containment-search antichain on frontier *pairs*.
-
-    A pair ``(t₁, t₂)`` is dominated by a stored ``(a₁, a₂)`` when
-    ``t₁ ⊆ a₁`` and ``a₂ ⊆ t₂`` (De Wulf–Doyen–Raskin ordering); both
-    directions are one vectorized subset test each.
-    """
-
-    def __init__(self, left_width: int, right_width: int) -> None:
-        self._left = np.zeros((0, left_width), dtype=np.uint8)
-        self._right = np.zeros((0, right_width), dtype=np.uint8)
-
-    def widen(self, left_width: int, right_width: int) -> None:
-        """Grow either mask universe."""
-        for attr, width in (("_left", left_width), ("_right", right_width)):
-            rows = getattr(self, attr)
-            missing = width - rows.shape[1]
-            if missing > 0:
-                setattr(self, attr, np.pad(rows, ((0, 0), (0, missing))))
-
-    def covers(self, left, right) -> bool:
-        """Is ``(left, right)`` dominated by a stored pair?"""
-        if not len(self._left):
-            return False
-        dominated = np.all(left & ~self._left == 0, axis=1)
-        dominated &= np.all(self._right & ~right == 0, axis=1)
-        return bool(dominated.any())
-
-    def insert(self, left, right) -> None:
-        """Add a pair, dropping every stored pair it dominates."""
-        if len(self._left):
-            dominates = np.all(self._left & ~left == 0, axis=1)
-            dominates &= np.all(right & ~self._right == 0, axis=1)
-            keep = ~dominates
-            self._left = self._left[keep]
-            self._right = self._right[keep]
-        self._left = np.concatenate([self._left, left[None, :]])
-        self._right = np.concatenate([self._right, right[None, :]])
-
-    def __len__(self) -> int:
-        return len(self._left)
-
-
-def shortest_word_over(packed, allowed):
-    """Vectorized twin of the antichain BFS in :mod:`repro.unranked.nbta`.
-
-    Identical expansion order and pruning rule, so the returned word is
-    byte-identical to the bitset engine's.
-    """
-    sink = obs.SINK
-    sink.incr("antichain.searches")
-    dense = packed_nfa(packed)
-    allowed_set = set(allowed)
-    symbols = [
-        symbol
-        for symbol in dense.symbols
-        if symbol in allowed_set and symbol in dense.symbol_rows
-    ]
-    row_ids = [dense.symbol_rows[symbol] for symbol in symbols]
-    start = dense.initial
-    if dense.accepts(start):
-        return ()
-    antichain = MaskAntichain(dense.width)
-    antichain.insert(start)
-    frontier = [(start, ())]
-    while frontier:
-        next_frontier = []
-        for mask, word in frontier:
-            for symbol, row in zip(symbols, row_ids):
-                target = dense.step_options(mask, [row])
-                if not target.any():
-                    continue
-                if dense.accepts(target):
-                    return word + (symbol,)
-                if antichain.covers(target):
-                    sink.incr("antichain.prunes")
-                    continue
-                antichain.insert(target)
-                if sink.enabled:
-                    sink.incr("antichain.expansions")
-                    sink.gauge_max("antichain.max_size", len(antichain))
-                next_frontier.append((target, word + (symbol,)))
-        frontier = next_frontier
-    return None
-
-
-# ----------------------------------------------------------------------
-# Exported programs (the shared-memory packed-automaton channel)
-# ----------------------------------------------------------------------
-
-#: Arrays shipped per program, in buffer order.
-_PROGRAM_ARRAYS = (
-    "forward",
-    "first_defined",
-    "seed_aids",
-    "backward",
-    "bletter_lookup",
-    "select",
-    "halt_counts",
-    "halt_accepts",
-    "out_codes",
-)
-
-
-def export_program(query) -> tuple[bytes, bytes] | None:
-    """Fully close the kernel of ``query`` and freeze it to one buffer.
-
-    Returns ``(header, payload)`` — a small picklable header (dtypes,
-    shapes, offsets, interned cells, the query itself for the fallback
-    path) plus a flat byte buffer holding every dense array — or ``None``
-    when numpy is missing, the query is not a string QA/GSQA, or the
-    closure overflows its caps.  The buffer is what the shared-memory
-    transport maps; :class:`AttachedStringEngine` evaluates directly on
-    views into it, so attaching is O(1) in the automaton size.
-    """
-    if np is None:
-        _count_fallback()
-        return None
-    if isinstance(query, StringQueryAutomaton):
-        engine: _ReadoutEngine = query_engine(query)
-        kind = "query"
-    elif isinstance(query, GeneralizedStringQA):
-        engine = transducer_engine(query)
-        kind = "transducer"
-    else:
-        return None
-    sweep = engine.sweep
-    try:
-        # Closing over the full alphabet makes the export word-agnostic.
-        for symbol in sorted(sweep.automaton.alphabet, key=repr):
-            sweep._intern_cell(symbol)
-        sweep._close_forward()
-        forward = sweep.forward_matrix()
-        # Seed and backward letters for every (cell, pair) combination.
-        seed_aids = np.array(
-            [sweep.seed_aid(s) for s in range(len(sweep._sweep_states))],
-            dtype=np.int32,
-        )
-        cell_count = len(sweep._cells)
-        lookup = np.full(
-            (cell_count, len(sweep._sweep_states)), -1, dtype=np.int32
-        )
-        for cell_id in range(cell_count):
-            for sweep_id in range(1, len(sweep._sweep_states)):
-                pair_id, _cell = sweep._sweep_states[sweep_id]
-                lookup[cell_id, sweep_id] = sweep._intern_bletter(
-                    cell_id, pair_id
-                )
-        backward, _seed_rows = sweep.backward_matrix(())
-    except KernelOverflowError:
-        sweep.dead = True
-        obs.SINK.incr("npkernel.overflows")
-        return None
-
-    readout = engine._readout()
-    if kind == "query":
-        select, halt_counts, halt_accepts = readout
-        out_codes = np.zeros((0, 0), dtype=np.int32)
-        out_values: list = []
-    else:
-        out_codes, halt_counts = readout
-        select = np.zeros((0, 0), dtype=bool)
-        halt_accepts = np.zeros((0, 0), dtype=bool)
-        out_values = list(engine._values)
-
-    arrays = {
-        "forward": np.ascontiguousarray(forward),
-        "first_defined": sweep._sweep_first_defined(),
-        "seed_aids": seed_aids,
-        "backward": np.ascontiguousarray(backward),
-        "bletter_lookup": lookup,
-        "select": np.ascontiguousarray(select),
-        "halt_counts": np.ascontiguousarray(halt_counts),
-        "halt_accepts": np.ascontiguousarray(halt_accepts),
-        "out_codes": np.ascontiguousarray(out_codes),
-    }
-    layout = {}
-    offset = 0
-    chunks = []
-    for name in _PROGRAM_ARRAYS:
-        array = arrays[name]
-        data = array.tobytes()
-        layout[name] = (str(array.dtype), array.shape, offset, len(data))
-        chunks.append(data)
-        offset += len(data)
-    header = pickle.dumps(
-        {
-            "kind": kind,
-            "query": query,
-            "cells": list(sweep._cells),
-            "base": sweep.base,
-            "empty_aid": sweep.table.empty_set_id + 1,
-            "out_values": out_values,
-            "layout": layout,
-            "payload_length": offset,
-        }
-    )
-    obs.SINK.incr("npkernel.exports")
-    return header, b"".join(chunks)
-
-
-class AttachedStringEngine:
-    """Evaluate a frozen exported program, typically over shared memory.
-
-    The arrays are *views* into the provided buffer — nothing is copied
-    or re-derived at attach time.  Inputs the frozen closure cannot
-    answer (unknown symbols, poisoned entries) fall back to a lazily
-    built dict engine from the shipped query object, preserving oracle
-    semantics exactly.
-    """
-
-    def __init__(self, header: bytes, buffer) -> None:
-        meta = pickle.loads(header)
-        self.kind = meta["kind"]
-        self.query = meta["query"]
-        self.base = meta["base"]
-        self.empty_aid = meta["empty_aid"]
-        self.out_values = meta["out_values"]
-        self.cell_ids = {cell: i for i, cell in enumerate(meta["cells"])}
-        self.arrays = {}
-        for name, (dtype, shape, offset, length) in meta["layout"].items():
-            view = np.frombuffer(buffer, dtype=dtype, count=length // np.dtype(dtype).itemsize, offset=offset)
-            self.arrays[name] = view.reshape(shape)
-        self._fallback_call = None
-        obs.SINK.incr("npkernel.attached_programs")
-
-    def _fallback(self, word):
-        if self._fallback_call is None:
-            if self.kind == "query":
-                from .strings import _QUERY_ENGINES
-
-                self._fallback_call = _QUERY_ENGINES.get(self.query).evaluate
-            else:
-                from .strings import _TRANSDUCERS
-
-                self._fallback_call = _TRANSDUCERS.get(self.query).transduce
-        obs.SINK.incr("npkernel.word_fallbacks")
-        return self._fallback_call(word)
-
-    def __call__(self, word):
-        word = as_symbol_sequence(word)
-        cell_ids = self.cell_ids
-        try:
-            ids = np.array(
-                [cell_ids[LEFT_MARKER]]
-                + [cell_ids[symbol] for symbol in word]
-                + [cell_ids[RIGHT_MARKER]],
-                dtype=np.int32,
-            )
-        except KeyError:  # symbol outside the exported alphabet
-            return self._fallback(word)
-        forward = self.arrays["forward"]
-        flat = np.empty(len(ids), dtype=np.int32)
-        flat[0] = forward.shape[0] - 1  # reset row
-        flat[1:] = ids[1:]
-        states = _prefix_compose(forward[flat])[:, self.base]
-        if (states == POISON).any():
-            return self._fallback(word)
-        defined = self.arrays["first_defined"][states]
-        rightmost = int(np.nonzero(defined)[0][-1])
-        seed = int(self.arrays["seed_aids"][int(states[rightmost])])
-        if seed == POISON:
-            return self._fallback(word)
-        lookup = self.arrays["bletter_lookup"]
-        letters = np.empty(rightmost + 1, dtype=np.int32)
-        back_range = np.arange(rightmost - 1, -1, -1)
-        letters[1:] = lookup[ids[back_range + 1], states[back_range]]
-        if (letters[1:] < 0).any():
-            return self._fallback(word)
-        backward = self.arrays["backward"]
-        seed_row = np.full(
-            (1, backward.shape[1]), seed, dtype=backward.dtype
-        )
-        rows = np.concatenate(
-            [seed_row, backward[letters[1:]]], axis=0
-        )
-        values = _prefix_compose(rows)[:, 0]
-        if (values == POISON).any():
-            return self._fallback(word)
-        assumed = np.full(len(ids), self.empty_aid, dtype=np.int32)
-        assumed[rightmost :: -1] = values  # noqa: E203
-        halting = self.arrays["halt_counts"][
-            assumed[: rightmost + 1], ids[: rightmost + 1]
-        ]
-        if int(halting.sum()) != 1:
-            return self._fallback(word)  # raises the oracle's error
-        stop = min(rightmost, len(word))
-        if self.kind == "query":
-            position = int(np.nonzero(halting)[0][0])
-            if not self.arrays["halt_accepts"][
-                int(assumed[position]), int(ids[position])
-            ]:
-                return frozenset()
-            hits = self.arrays["select"][
-                assumed[1 : stop + 1], ids[1 : stop + 1]
-            ]
-            return frozenset((np.nonzero(hits)[0] + 1).tolist())
-        outputs = np.zeros(len(word), dtype=np.int32)
-        outputs[:stop] = self.arrays["out_codes"][
-            assumed[1 : stop + 1], ids[1 : stop + 1]
-        ]
-        conflicts = np.nonzero(outputs == _CODE_CONFLICT)[0]
-        if len(conflicts):
-            raise AutomatonError(
-                f"two outputs at position {int(conflicts[0]) + 1}"
-            )
-        missing = (np.nonzero(outputs == _CODE_BOTTOM)[0] + 1).tolist()
-        if missing:
-            raise AutomatonError(f"no output at positions {missing!r} of {word!r}")
-        values_list = self.out_values
-        return tuple(values_list[code - 2] for code in outputs.tolist())

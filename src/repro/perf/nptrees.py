@@ -20,31 +20,25 @@ Figure 5 two-phase marked-DBTA^u propagation, i.e. the hot loop behind
   machinery the string kernel already built;
 * the Figure 5 two-phase propagation runs as level-order array passes: a
   bottom-up per-type state pass, then one vectorized ragged scatter per
-  level pushing interned context ids to children;
-* :func:`export_tree_program` freezes the dense per-label classifier
-  tables to one flat buffer (cached on the engine, so repeated parallel
-  executors never re-encode the automaton) and
-  :class:`AttachedTreeEngine` evaluates directly on shared-memory views
-  of it — the tree counterpart of ``npkernel.export_program``.
+  level pushing interned context ids to children.
 
-Every missing-numpy / overflow / partial-classifier path silently
-degrades to the dict engines of :mod:`repro.perf.trees` behind
-``npkernel.*`` counters, so results *and raised errors* are identical by
-construction to the oracles; the uncached evaluators remain the
-differential reference.
+Callers reach this module through
+:func:`repro.perf.registry.numpy_kernel` (``trees=True``), which imports
+it only on an ``engine="numpy"`` request.  Every missing-numpy /
+overflow / partial-classifier path silently degrades to the dict engines
+of :mod:`repro.perf.trees` behind ``npkernel.*`` counters, so results
+*and raised errors* are identical by construction to the oracles; the
+uncached evaluators remain the differential reference.
 """
 
 from __future__ import annotations
-
-import pickle
-import sys
 
 from .. import obs
 from ..trees.tree import Path, Tree
 from ..unranked.dbta import DeterministicUnrankedAutomaton
 from ..unranked.twoway import UnrankedQueryAutomaton
 from .npkernel import KernelOverflowError, _MonoidOverflow, _MonoidScan
-from .registry import EngineRegistry, unknown_engine
+from .registry import EngineRegistry
 from .trees import _MARKED_ENGINES, _UNRANKED_ENGINES
 
 try:  # pragma: no cover - exercised via the availability tests
@@ -72,24 +66,6 @@ _SCAN_THRESHOLD = 16
 def available() -> bool:
     """Is numpy importable in this process?"""
     return np is not None
-
-
-def tree_kernel(engine: str | None):
-    """Resolve an ``engine=`` choice to this module, or ``None``.
-
-    Mirrors :func:`repro.perf.strings.numpy_kernel` for the tree
-    evaluators: ``None`` / ``"table"`` select the interned-dict default,
-    ``"numpy"`` this kernel; asking for numpy without numpy installed
-    degrades to the dict engines and counts ``npkernel.fallbacks``.
-    """
-    if engine is None or engine == "table":
-        return None
-    if engine != "numpy":
-        raise unknown_engine(engine, ("table", "numpy"))
-    if available():
-        return sys.modules[__name__]
-    obs.SINK.incr("npkernel.fallbacks")
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -486,19 +462,12 @@ class NumpyMarkedEngine(_TreePropagator):
     vertical state axis and computed once, ever.
     """
 
-    def __init__(
-        self,
-        automaton: DeterministicUnrankedAutomaton,
-        vstates: list | None = None,
-    ) -> None:
+    def __init__(self, automaton: DeterministicUnrankedAutomaton) -> None:
         self.automaton = automaton
         self.dead = np is None
-        self._program = None
         if self.dead:  # pragma: no cover - engines are not built without numpy
             return
-        self._vstates = (
-            sorted(automaton.states, key=repr) if vstates is None else vstates
-        )
+        self._vstates = sorted(automaton.states, key=repr)
         self._vids = {state: i for i, state in enumerate(self._vstates)}
         self._nv = len(self._vstates)
         self._accept_mask = np.fromiter(
@@ -889,135 +858,3 @@ def marked_engine(automaton: DeterministicUnrankedAutomaton) -> NumpyMarkedEngin
 def unranked_engine(qa: UnrankedQueryAutomaton) -> NumpyUnrankedEngine:
     """The shared vectorized engine of a QA^u / SQA^u."""
     return _NP_UNRANKED.get(qa)
-
-
-# ----------------------------------------------------------------------
-# Exported tree programs (the shared-memory packed-automaton channel)
-# ----------------------------------------------------------------------
-
-_TREE_PROGRAM_ARRAYS = ("delta0", "classify0", "delta1", "classify1")
-
-
-def _marked_automaton(query) -> DeterministicUnrankedAutomaton | None:
-    """The pair-marked DBTA^u behind a tree query object, if any."""
-    if isinstance(query, DeterministicUnrankedAutomaton):
-        return query
-    from ..core.query import CompiledQuery, MSOQuery
-
-    if isinstance(query, CompiledQuery):
-        return query.automaton
-    if isinstance(query, MSOQuery) and query.engine != "naive":
-        return query.compiled()
-    return None
-
-
-def export_tree_program(query) -> tuple[bytes, bytes] | None:
-    """Freeze the dense per-label tables of a tree query to one buffer.
-
-    Returns ``(header, payload)`` — a picklable header (the automaton,
-    its frozen vertical-state order, per-label dtypes/shapes/offsets)
-    plus one flat byte buffer holding every dense classifier table — or
-    ``None`` when numpy is missing or the query carries no pair-marked
-    DBTA^u.  The program is cached on the registry engine, so repeated
-    parallel executors (e.g. chunked ``Corpus.stream`` serving) never
-    re-encode the automaton; :class:`AttachedTreeEngine` maps the buffer
-    with zero table rebuild on the worker side.
-    """
-    if np is None:
-        obs.SINK.incr("npkernel.fallbacks")
-        return None
-    automaton = _marked_automaton(query)
-    if automaton is None:
-        return None
-    engine = _NP_MARKED.get(automaton)
-    if engine._program is not None:
-        return engine._program
-    base_labels = sorted(
-        {
-            key[0]
-            for key in automaton.classifiers
-            if isinstance(key, tuple) and len(key) == 2 and key[1] in (0, 1)
-        },
-        key=repr,
-    )
-    labels_meta: dict = {}
-    chunks: list[bytes] = []
-    offset = 0
-    for label in base_labels:
-        tables = engine._label_tables(UNIVERSE.label_id(label))
-        if tables is None:
-            labels_meta[label] = None
-            continue
-        entry = {
-            "initial0": tables.initial0,
-            "initial1": tables.initial1,
-            "partial": tables.partial,
-            "arrays": {},
-        }
-        for name in _TREE_PROGRAM_ARRAYS:
-            array = np.ascontiguousarray(getattr(tables, name))
-            data = array.tobytes()
-            entry["arrays"][name] = (
-                str(array.dtype), array.shape, offset, len(data)
-            )
-            chunks.append(data)
-            offset += len(data)
-        labels_meta[label] = entry
-    header = pickle.dumps(
-        {
-            "kind": "tree_query",
-            "query": query,
-            "automaton": automaton,
-            "vstates": engine._vstates,
-            "labels": labels_meta,
-            "payload_length": offset,
-        }
-    )
-    engine._program = (header, b"".join(chunks))
-    obs.SINK.incr("npkernel.tree_exports")
-    return engine._program
-
-
-class AttachedTreeEngine:
-    """Evaluate a frozen tree program, typically over shared memory.
-
-    The dense per-label classifier tables are *views* into the provided
-    buffer — nothing is re-derived from the automaton's dict DFAs at
-    attach time (only the tiny per-label Cayley-scan caches build
-    lazily, per worker).  Trees the frozen tables cannot answer fall
-    back to the worker-local dict engine, preserving oracle semantics
-    exactly.
-    """
-
-    def __init__(self, header: bytes, buffer) -> None:
-        meta = pickle.loads(header)
-        self.query = meta["query"]
-        engine = NumpyMarkedEngine(meta["automaton"], vstates=meta["vstates"])
-        for label, entry in meta["labels"].items():
-            label_id = UNIVERSE.label_id(label)
-            if entry is None:
-                engine._labels[label_id] = None
-                continue
-            arrays = {}
-            for name, (dtype, shape, off, length) in entry["arrays"].items():
-                view = np.frombuffer(
-                    buffer,
-                    dtype=dtype,
-                    count=length // np.dtype(dtype).itemsize,
-                    offset=off,
-                )
-                arrays[name] = view.reshape(shape)
-            engine._labels[label_id] = _LabelTables(
-                arrays["delta0"],
-                arrays["classify0"],
-                entry["initial0"],
-                arrays["delta1"],
-                arrays["classify1"],
-                entry["initial1"],
-                entry["partial"],
-            )
-        self.engine = engine
-        obs.SINK.incr("npkernel.attached_tree_programs")
-
-    def __call__(self, tree: Tree) -> frozenset[Path]:
-        return self.engine.evaluate(tree)

@@ -6,8 +6,8 @@ a corpus can be sharded across ``multiprocessing`` workers with no
 coordination beyond result collection.  :class:`ParallelExecutor` does
 exactly that:
 
-* the compiled query ships **once per worker** via the pool initializer,
-  which warms the worker-local engine registries of
+* the compiled query ships **once per worker**, pickled, through the
+  pool initializer, which warms the worker-local engine registries of
   :mod:`repro.perf.registry` — every chunk the worker later receives
   reuses the same behavior tables and subtree-type caches;
 * inputs are chunked adaptively by estimated node count
@@ -23,7 +23,7 @@ exactly that:
   ``parallel.items``, ``parallel.merge_wait_ns`` — and per-worker
   high-water gauges ``parallel.worker_items_max`` /
   ``parallel.worker_cost_max`` / ``parallel.worker_init_ns`` (initializer
-  time: what each transport actually costs per worker);
+  time: unpickling the query and warming the engines);
 * a failure inside a worker surfaces as a structured
   :class:`~repro.perf.shard.ShardError` carrying the failing input's
   submission index and the worker's counter snapshot (including the
@@ -60,22 +60,6 @@ _INFLIGHT_PER_WORKER = 2
 #: pool broken (workers that die during bootstrap are respawned forever
 #: by ``multiprocessing.Pool``, so without this cap a broken pool hangs).
 _SPAWN_PING_TIMEOUT = float(os.environ.get("REPRO_PARALLEL_SPAWN_TIMEOUT", "120"))
-
-
-#: Transport selection: how the compiled query reaches the workers.
-#: ``pickle`` ships pickled bytes through the pool initializer (every
-#: worker re-derives its engines); ``shared_memory`` maps one
-#: :class:`multiprocessing.shared_memory.SharedMemory` segment that all
-#: workers attach — carrying either a fully-closed dense numpy program
-#: (:func:`repro.perf.npkernel.export_program`, attach is O(1)) or, for
-#: queries the dense exporter cannot freeze, the pickled spec itself.
-_TRANSPORTS = ("pickle", "shared_memory")
-
-
-def default_transport() -> str:
-    """The transport selected by ``REPRO_PARALLEL_TRANSPORT`` (or pickle)."""
-    choice = os.environ.get("REPRO_PARALLEL_TRANSPORT", "pickle")
-    return "shared_memory" if choice == "shm" else choice
 
 
 def default_jobs() -> int:
@@ -167,86 +151,25 @@ def _prepare_spec(query, engine: str | None = None) -> tuple:
 #: Worker-local evaluation callable, set once by the pool initializer.
 _WORKER_CALL = None
 
-#: Worker-local shared-memory segment; kept referenced for the process
-#: lifetime so attached array views stay valid.
-_WORKER_SHM = None
-
-#: Nanoseconds this worker spent in its initializer — receiving the
-#: query and building (or attaching) its engine.  Shipped home with
-#: every chunk record and surfaced as the ``parallel.worker_init_ns``
-#: gauge, so transports can be compared on per-worker setup cost
-#: without process-spawn noise.
+#: Nanoseconds this worker spent in its initializer — unpickling the
+#: query and building its engine.  Shipped home with every chunk record
+#: and surfaced as the ``parallel.worker_init_ns`` gauge, so per-worker
+#: setup cost is visible without process-spawn noise.
 _WORKER_INIT_NS = 0
 
 
-def _attach_shared_memory(name: str):
-    """Attach the parent's segment in a worker.
+def _initialize_worker(spec_bytes: bytes) -> None:
+    """Pool initializer: unpickle the query spec and warm the local engines.
 
-    Attaching re-registers the name with the resource tracker (3.11/3.12
-    lack ``track=False``), but spawn children share the parent's tracker
-    process and its cache is a set, so the parent's create-time
-    registration and every worker's attach-time one collapse into a
-    single entry — which the parent's ``unlink`` at close retires.
-    Workers must NOT unregister themselves: extra unregisters would race
-    each other emptying that single entry.
+    Runs once per worker process.  Resolving the evaluation callable
+    builds the engine through the worker-local
+    :class:`~repro.perf.registry.EngineRegistry`, so the behavior tables
+    and subtree-type caches exist before the first chunk arrives and are
+    shared by every chunk this worker ever processes.
     """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-def _initialize_worker(mode: str, *args) -> None:
-    """Pool initializer: receive the query and warm the local engines.
-
-    Runs once per worker process.  ``mode`` selects the transport:
-
-    * ``"spec"`` — pickled (kind, payload, engine) bytes in ``args``;
-    * ``"spec_shm"`` — the same bytes, but read out of a shared-memory
-      segment the parent filled once (``args`` is its name and length);
-    * ``"program"`` — a dense numpy program exported by
-      :func:`repro.perf.npkernel.export_program`: ``args`` is the pickled
-      header plus the segment name; the worker builds an
-      :class:`~repro.perf.npkernel.AttachedStringEngine` whose arrays are
-      views straight into the mapped segment — nothing is unpickled or
-      re-derived per worker;
-    * ``"tree_program"`` — the tree counterpart
-      (:func:`repro.perf.nptrees.export_tree_program`): the worker builds
-      an :class:`~repro.perf.nptrees.AttachedTreeEngine` whose dense
-      per-label classifier tables are views into the mapped segment.
-
-    Resolving the evaluation callable builds the engine through the
-    worker-local :class:`~repro.perf.registry.EngineRegistry`, so the
-    behavior tables and subtree-type caches exist before the first chunk
-    arrives and are shared by every chunk this worker ever processes.
-    """
-    global _WORKER_CALL, _WORKER_SHM, _WORKER_INIT_NS
+    global _WORKER_CALL, _WORKER_INIT_NS
     started = time.perf_counter_ns()
-    if mode == "spec":
-        (spec_bytes,) = args
-        _WORKER_CALL = _resolve_call(pickle.loads(spec_bytes))
-    elif mode == "spec_shm":
-        name, length = args
-        _WORKER_SHM = _attach_shared_memory(name)
-        spec_bytes = bytes(_WORKER_SHM.buf[:length])
-        _WORKER_CALL = _resolve_call(pickle.loads(spec_bytes))
-    elif mode == "program":
-        header, name, length = args
-        from .npkernel import AttachedStringEngine
-
-        _WORKER_SHM = _attach_shared_memory(name)
-        _WORKER_CALL = AttachedStringEngine(
-            header, _WORKER_SHM.buf[:length]
-        )
-    elif mode == "tree_program":
-        header, name, length = args
-        from .nptrees import AttachedTreeEngine
-
-        _WORKER_SHM = _attach_shared_memory(name)
-        _WORKER_CALL = AttachedTreeEngine(
-            header, _WORKER_SHM.buf[:length]
-        )
-    else:  # pragma: no cover - parent/worker version skew only
-        raise RuntimeError(f"unknown worker transport mode {mode!r}")
+    _WORKER_CALL = _resolve_call(pickle.loads(spec_bytes))
     _WORKER_INIT_NS = time.perf_counter_ns() - started
 
 
@@ -311,12 +234,6 @@ class ParallelExecutor:
         Worker count; defaults to :func:`default_jobs` (affinity-aware).
         ``jobs=1`` is the serial fast path: no pool, no pickling,
         identical results.
-    transport:
-        ``"pickle"`` (the oracle path: pickled spec through the pool
-        initializer) or ``"shared_memory"`` (one shared segment all
-        workers attach; dense numpy programs where exportable, the
-        pickled spec otherwise).  Defaults to the
-        ``REPRO_PARALLEL_TRANSPORT`` environment variable, then pickle.
     engine:
         Per-item engine choice shipped to the workers (e.g. ``"numpy"``
         for the vectorized string kernel); ``None`` keeps each query
@@ -331,24 +248,14 @@ class ParallelExecutor:
         self,
         query,
         jobs: int | None = None,
-        transport: str | None = None,
         engine: str | None = None,
     ) -> None:
         self.jobs = default_jobs() if jobs is None else jobs
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self.transport = default_transport() if transport is None else (
-            "shared_memory" if transport == "shm" else transport
-        )
-        if self.transport not in _TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; expected one of "
-                f"{_TRANSPORTS}"
-            )
         self.engine = engine
         self._spec = _prepare_spec(query, engine)
         self._pool = None
-        self._shm = None
         self._closed = False
         if self.jobs > 1:
             try:
@@ -370,63 +277,12 @@ class ParallelExecutor:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down and release the shared segment (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         self._closed = True
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._shm = None
-
-    def _worker_initargs(self) -> tuple:
-        """Build the (mode, *args) tuple for the pool initializer.
-
-        Shared-memory transport fills one segment here, in the parent,
-        once: with the dense exported program of a string query when the
-        numpy kernel can freeze it, otherwise with the pickled spec.  The
-        pickle transport — the differential oracle — ships bytes through
-        the initializer arguments as before.
-        """
-        sink = obs.SINK
-        if self.transport == "pickle":
-            sink.incr("parallel.transport_pickle")
-            return ("spec", self._payload)
-        from multiprocessing import shared_memory
-
-        kind, payload, engine = self._spec
-        program = None
-        mode = "program"
-        if kind == "query" and engine == "numpy":
-            from .npkernel import export_program
-
-            program = export_program(payload)
-            if program is None:
-                from .nptrees import export_tree_program
-
-                program = export_tree_program(payload)
-                mode = "tree_program"
-        sink.incr("parallel.transport_shm")
-        if program is not None:
-            header, body = program
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(body))
-            )
-            self._shm.buf[: len(body)] = body
-            sink.incr("parallel.shm_programs")
-            sink.gauge_max("parallel.shm_bytes", len(body))
-            return (mode, header, self._shm.name, len(body))
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, len(self._payload))
-        )
-        self._shm.buf[: len(self._payload)] = self._payload
-        sink.gauge_max("parallel.shm_bytes", len(self._payload))
-        return ("spec_shm", self._shm.name, len(self._payload))
 
     def _ensure_pool(self):
         if self._closed:
@@ -444,7 +300,7 @@ class ParallelExecutor:
             self._pool = context.Pool(
                 processes=self.jobs,
                 initializer=_initialize_worker,
-                initargs=self._worker_initargs(),
+                initargs=(self._payload,),
             )
             # Workers that die during bootstrap (unguarded __main__,
             # initializer failure) are respawned forever by Pool; a
@@ -593,7 +449,6 @@ def parallel_map(
     query,
     items: Iterable,
     jobs: int | None = None,
-    transport: str | None = None,
     engine: str | None = None,
 ) -> list:
     """One-shot :class:`ParallelExecutor` convenience.
@@ -602,7 +457,5 @@ def parallel_map(
     against the same query, keep a :class:`ParallelExecutor` instead —
     its workers' warmed engines survive across ``map`` calls.
     """
-    with ParallelExecutor(
-        query, jobs=jobs, transport=transport, engine=engine
-    ) as executor:
+    with ParallelExecutor(query, jobs=jobs, engine=engine) as executor:
         return executor.map(items)

@@ -11,6 +11,11 @@ snapshot provider with :func:`repro.obs.register_cache`, so every
 counts, and evictions — the per-instance counters survive LRU eviction
 (they count *events*, not live entries), which is what the eviction
 differential tests assert.
+
+The module also owns the ``engine=`` vocabulary of the evaluation entry
+points: :func:`validate_engine` checks a name up front, and
+:func:`numpy_kernel` is the one place that turns ``engine="numpy"`` into
+an (imported) numpy kernel module.  It never imports numpy itself.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ def unknown_engine(engine: object, valid: tuple = VALID_ENGINES) -> ValueError:
     Every dispatcher raises this one format — ``unknown engine <name>:
     valid engines are ...`` — so callers see the same message whether
     the bad name reaches :func:`repro.perf.batch._engine_call`, the
-    kernel resolvers, or a :mod:`repro.core.pipeline` entry point.
+    kernel resolver :func:`numpy_kernel`, or a :mod:`repro.core.pipeline`
+    entry point.
     """
     choices = ", ".join(repr(name) for name in valid)
     return ValueError(f"unknown engine {engine!r}: valid engines are {choices}")
@@ -53,6 +59,32 @@ def validate_engine(engine: str | None) -> str | None:
     if engine is not None and engine not in VALID_ENGINES:
         raise unknown_engine(engine)
     return engine
+
+
+def numpy_kernel(engine: str | None, *, trees: bool = False):
+    """Resolve an ``engine=`` choice to a numpy kernel module, or ``None``.
+
+    ``None`` / ``"table"`` select the interned-dict default and return
+    ``None``; ``"numpy"`` returns :mod:`repro.perf.npkernel` (string
+    queries and transducers) or, with ``trees=True``,
+    :mod:`repro.perf.nptrees` (tree queries).  The kernel module — and
+    with it numpy — is imported only here, on the first ``"numpy"``
+    request, so default-engine paths never load numpy.  Asking for numpy
+    without numpy installed degrades to the default and counts an
+    ``npkernel.fallbacks`` event; callers never guard the import.
+    """
+    if engine is None or engine == "table":
+        return None
+    if engine != "numpy":
+        raise unknown_engine(engine, ("table", "numpy"))
+    if trees:
+        from . import nptrees as kernel
+    else:
+        from . import npkernel as kernel
+    if kernel.available():
+        return kernel
+    obs.SINK.incr("npkernel.fallbacks")
+    return None
 
 
 class EngineRegistry(Generic[Engine]):

@@ -30,7 +30,7 @@ from ..strings.twoway import (
     as_symbol_sequence,
 )
 from ..strings.dfa import AutomatonError
-from .registry import EngineRegistry, unknown_engine
+from .registry import EngineRegistry, numpy_kernel
 from .table import BehaviorTable
 
 State = Hashable
@@ -171,26 +171,6 @@ _QUERY_ENGINES: EngineRegistry[StringQueryEngine] = EngineRegistry(
 _TRANSDUCERS: EngineRegistry[TransductionEngine] = EngineRegistry(
     TransductionEngine, name="perf.transducers"
 )
-
-
-def numpy_kernel(engine: str | None):
-    """Resolve an ``engine=`` choice to the numpy kernel module, or ``None``.
-
-    ``None`` / ``"table"`` (the interned-dict default) and ``"numpy"``
-    are accepted; asking for numpy without numpy installed degrades to
-    the table engine and counts an ``npkernel.fallbacks`` event — callers
-    never have to guard the import themselves.
-    """
-    if engine is None or engine == "table":
-        return None
-    if engine != "numpy":
-        raise unknown_engine(engine, ("table", "numpy"))
-    from . import npkernel
-
-    if npkernel.available():
-        return npkernel
-    obs.SINK.incr("npkernel.fallbacks")
-    return None
 
 
 def fast_evaluate(

@@ -37,7 +37,7 @@ from ..unranked.twoway import (
     UnrankedQueryAutomaton,
     UP,
 )
-from .registry import EngineRegistry
+from .registry import EngineRegistry, numpy_kernel
 from .strings import fast_transduce
 
 State = Hashable
@@ -597,12 +597,9 @@ def fast_evaluate_unranked(
     :mod:`repro.perf.nptrees` (degrading to this dict engine when numpy
     is missing); ``None`` / ``"table"`` select the dict engine directly.
     """
-    if engine is not None:
-        from .nptrees import tree_kernel
-
-        kernel = tree_kernel(engine)
-        if kernel is not None:
-            return kernel.unranked_engine(qa).evaluate(tree)
+    kernel = numpy_kernel(engine, trees=True)
+    if kernel is not None:
+        return kernel.unranked_engine(qa).evaluate(tree)
     return _UNRANKED_ENGINES.get(qa).evaluate(tree)
 
 
@@ -626,10 +623,7 @@ def fast_evaluate_marked(
     kernel of :mod:`repro.perf.nptrees` (falling back here when numpy is
     missing); ``None`` / ``"table"`` select this dict engine.
     """
-    if engine is not None:
-        from .nptrees import tree_kernel
-
-        kernel = tree_kernel(engine)
-        if kernel is not None:
-            return kernel.marked_engine(automaton).evaluate(tree)
+    kernel = numpy_kernel(engine, trees=True)
+    if kernel is not None:
+        return kernel.marked_engine(automaton).evaluate(tree)
     return marked_engine(automaton).evaluate(tree)

@@ -397,9 +397,10 @@ def build_query_qar(
     >>> sorted(qa.evaluate(Tree.parse("a(b, a)")))
     [(), (1,)]
     """
+    from ..logic.compile_strings import check_compile_engine
     from ..logic.compile_trees import compile_tree_query
 
-    if engine == "naive":
+    if not check_compile_engine(engine):
         d = compile_tree_query(formula, var, alphabet, engine="naive")
         return QueryAutomatonBuilder(d, alphabet, max_rank).build()
     from ..perf.compile import cached

@@ -274,7 +274,7 @@ class DocumentStore:
         was opened on — the server's cursor ops invalidate it on edits.
         """
         obs.SINK.incr("serve.store_select_iters")
-        from ..perf.registry import validate_engine
+        from ..perf.registry import numpy_kernel, validate_engine
 
         validate_engine(engine)
         stored = self.get(name)
@@ -287,25 +287,20 @@ class DocumentStore:
             return document.select_iter(query_obj, engine=engine)
         from ..perf.enumerate import stream_select
 
-        kwargs: dict = {}
-        if engine == "numpy":
-            from ..perf.nptrees import tree_kernel
-
-            if tree_kernel("numpy") is not None:
-                kwargs["encoding"] = stored.np_encoding()
-        if "encoding" not in kwargs:
+        if engine == "numpy" and numpy_kernel(engine, trees=True) is not None:
+            kwargs = {"encoding": stored.np_encoding()}
+        else:
             from ..perf.trees import marked_engine
 
-            eng = marked_engine(compiled())
-            kwargs["type_memo"] = stored.memo_for(eng)
+            kwargs = {"type_memo": stored.memo_for(marked_engine(compiled()))}
         return stream_select(
             query_obj, stored.tree, engine=engine, **kwargs
         )
 
     def _select_numpy(self, stored: StoredDocument, query_obj) -> list[Path]:
-        from ..perf.nptrees import tree_kernel
+        from ..perf.registry import numpy_kernel
 
-        kernel = tree_kernel("numpy")
+        kernel = numpy_kernel("numpy", trees=True)
         if kernel is None:  # numpy missing: degrade like Document.select
             from ..perf.trees import marked_engine
 

@@ -621,9 +621,10 @@ def build_query_sqa(
     formula digest (:mod:`repro.perf.compile`) so repeated constructions
     are near-free; ``engine="naive"`` is the unoptimized reference.
     """
+    from ..logic.compile_strings import check_compile_engine
     from ..logic.compile_trees import compile_tree_query
 
-    if engine == "naive":
+    if not check_compile_engine(engine):
         d = compile_tree_query(formula, var, alphabet, engine="naive")
         return StrongQueryAutomatonBuilder(d, alphabet).build()
     from ..perf.compile import cached

@@ -46,28 +46,6 @@ def _packed_nfa(nfa: NFA):
     return _PACKED_NFAS.get(nfa)
 
 
-def _numpy_kernel(engine: str | None):
-    """Resolve ``engine=`` to the numpy kernel module, or ``None``.
-
-    ``None`` / ``"bitset"`` select the Python-int bitset kernel;
-    ``"numpy"`` the packbits kernel of :mod:`repro.perf.npkernel`,
-    degrading (with an ``npkernel.fallbacks`` count) when numpy is not
-    installed.
-    """
-    if engine is None or engine == "bitset":
-        return None
-    if engine != "numpy":
-        raise AutomatonError(f"unknown NBTA engine {engine!r}")
-    from ..perf import npkernel
-
-    if npkernel.available():
-        return npkernel
-    from .. import obs
-
-    obs.SINK.incr("npkernel.fallbacks")
-    return None
-
-
 def empty_word_nfa(alphabet: Iterable[State]) -> NFA:
     """An NFA accepting only the empty word (leaf transitions)."""
     return NFA.build({0}, frozenset(alphabet), {}, {0}, {0})
@@ -120,15 +98,8 @@ class UnrankedTreeAutomaton:
     # Semantics
     # ------------------------------------------------------------------
 
-    def run(
-        self, tree: Tree, engine: str | None = None
-    ) -> dict[Path, frozenset[State]]:
-        """``δ*`` at every node: the possible states of each subtree.
-
-        ``engine="numpy"`` advances the horizontal frontiers on the
-        packbits kernel instead of Python-int bitsets.
-        """
-        kernel = _numpy_kernel(engine)
+    def run(self, tree: Tree) -> dict[Path, frozenset[State]]:
+        """``δ*`` at every node: the possible states of each subtree."""
         result: dict[Path, frozenset[State]] = {}
         for path in tree.postorder():
             node = tree.subtree(path)
@@ -138,32 +109,29 @@ class UnrankedTreeAutomaton:
                 nfa = self.horizontal.get((state, node.label))
                 if nfa is None:
                     continue
-                if _word_of_sets_intersects(nfa, child_sets, kernel):
+                if _word_of_sets_intersects(nfa, child_sets):
                     possible.add(state)
             result[path] = frozenset(possible)
         return result
 
-    def states_of(self, tree: Tree, engine: str | None = None) -> frozenset[State]:
+    def states_of(self, tree: Tree) -> frozenset[State]:
         """``δ*(t)``: the possible root states."""
-        return self.run(tree, engine=engine)[()]
+        return self.run(tree)[()]
 
-    def accepts(self, tree: Tree, engine: str | None = None) -> bool:
+    def accepts(self, tree: Tree) -> bool:
         """``δ*(t) ∩ F ≠ ∅``."""
-        return bool(self.states_of(tree, engine=engine) & self.accepting)
+        return bool(self.states_of(tree) & self.accepting)
 
     # ------------------------------------------------------------------
     # Lemma 5.2: PTIME non-emptiness
     # ------------------------------------------------------------------
 
-    def reachable_states(self, engine: str | None = None) -> frozenset[State]:
+    def reachable_states(self) -> frozenset[State]:
         """States ``q`` with ``q ∈ δ*(t)`` for some tree (the ``R`` fixpoint)."""
-        return frozenset(self._reachable_with_witnesses(engine=engine))
+        return frozenset(self._reachable_with_witnesses())
 
-    def _reachable_with_witnesses(
-        self, engine: str | None = None
-    ) -> dict[State, Tree]:
+    def _reachable_with_witnesses(self) -> dict[State, Tree]:
         """The Lemma 5.2 fixpoint, remembering a witness tree per state."""
-        kernel = _numpy_kernel(engine)
         witnesses: dict[State, Tree] = {}
         changed = True
         while changed:
@@ -175,7 +143,7 @@ class UnrankedTreeAutomaton:
                     nfa = self.horizontal.get((state, label))
                     if nfa is None:
                         continue
-                    word = _shortest_word_over(nfa, witnesses.keys(), kernel)
+                    word = _shortest_word_over(nfa, witnesses.keys())
                     if word is None:
                         continue
                     witnesses[state] = Tree(label, [witnesses[q] for q in word])
@@ -183,13 +151,13 @@ class UnrankedTreeAutomaton:
                     break
         return witnesses
 
-    def is_empty(self, engine: str | None = None) -> bool:
+    def is_empty(self) -> bool:
         """Is ``L(B)`` empty?  Polynomial time (Lemma 5.2)."""
-        return not (self.reachable_states(engine=engine) & self.accepting)
+        return not (self.reachable_states() & self.accepting)
 
-    def witness(self, engine: str | None = None) -> Tree | None:
+    def witness(self) -> Tree | None:
         """Some accepted tree, or ``None`` when the language is empty."""
-        witnesses = self._reachable_with_witnesses(engine=engine)
+        witnesses = self._reachable_with_witnesses()
         for state in self.accepting:
             if state in witnesses:
                 return witnesses[state]
@@ -412,20 +380,17 @@ def _restrict_nfa(nfa: NFA, allowed: frozenset[State]) -> NFA | None:
 
 
 def _word_of_sets_intersects(
-    nfa: NFA, child_sets: list[frozenset[State]], kernel=None
+    nfa: NFA, child_sets: list[frozenset[State]]
 ) -> bool:
     """Is some word ``q_1..q_n`` with ``q_i ∈ child_sets[i]`` accepted?
 
     Runs on the bitset kernel: the frontier is a Python-int mask advanced
     by the precomputed (ε-closed) per-symbol successor rows of the cached
-    :class:`~repro.perf.bitset.PackedNFA` — or, with a numpy ``kernel``,
-    on its packbits twin.
+    :class:`~repro.perf.bitset.PackedNFA`.
     """
     from ..perf.bitset import iter_bits
 
     packed = _packed_nfa(nfa)
-    if kernel is not None:
-        return kernel.word_of_sets_intersects(packed, child_sets)
     current = packed.initial_mask
     for options in child_sets:
         moved = 0
@@ -442,7 +407,7 @@ def _word_of_sets_intersects(
 
 
 def _shortest_word_over(
-    nfa: NFA, allowed: Iterable[State], kernel=None
+    nfa: NFA, allowed: Iterable[State]
 ) -> tuple[State, ...] | None:
     """A shortest accepted word using only ``allowed`` symbols.
 
@@ -450,15 +415,12 @@ def _shortest_word_over(
     frontier contained in an already-explored frontier can reach
     acceptance no sooner (reachability is monotone in the state set), so
     only ⊆-maximal frontiers are kept.  Level order preserves minimality
-    of the returned word's length.  A numpy ``kernel`` runs the identical
-    BFS on packbits masks with vectorized antichain domination tests.
+    of the returned word's length.
     """
     from .. import obs
     from ..perf.bitset import iter_bits
 
     packed = _packed_nfa(nfa)
-    if kernel is not None:
-        return kernel.shortest_word_over(packed, allowed)
     sink = obs.SINK
     sink.incr("antichain.searches")
     allowed_set = set(allowed)

@@ -1,6 +1,7 @@
 """Section 6 on strings: QA^string non-emptiness/containment/equivalence."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,39 @@ from repro.strings.examples import (
     odd_ones_query_automaton,
     sweep_right_dfa_as_qa,
 )
+from repro.strings.twoway import LEFT_MARKER, StringQueryAutomaton, TwoWayDFA
+
+from ..conftest import random_total_dfa
+
+ALPHABET = ("a", "b")
+
+#: Every word of length ≤ 4 — the brute-force side of the random checks.
+SHORT_WORDS = [
+    list(letters)
+    for n in range(5)
+    for letters in itertools.product(ALPHABET, repeat=n)
+]
+
+
+def random_qa(rng: random.Random, rate: float = 0.3) -> StringQueryAutomaton:
+    """A one-way QA sweeping right through a random total DFA.
+
+    (Two-way Hopcroft–Ullman machines blow up the determinized search
+    space: fine for one decision, too slow for hundreds.)
+    """
+    dfa = random_total_dfa(rng, ALPHABET)
+    right = {(state, LEFT_MARKER): dfa.initial for state in dfa.states}
+    right.update(dfa.transitions)
+    automaton = TwoWayDFA.build(
+        dfa.states, ALPHABET, dfa.initial, dfa.accepting, {}, right
+    )
+    selecting = frozenset(
+        (state, symbol)
+        for state in sorted(dfa.states, key=repr)
+        for symbol in ALPHABET
+        if rng.random() < rate
+    )
+    return StringQueryAutomaton(automaton, selecting)
 
 
 class TestSelectionLanguage:
@@ -99,3 +133,42 @@ class TestStringDecisions:
             base.automaton, frozenset({("s1", "1"), ("s2", "1")})
         )
         assert string_queries_equivalent(one_way, both_sweeps, ["0", "1"])
+
+
+class TestRandomQueries:
+    def test_witness_is_selected(self):
+        """220 seeded QAs: every witness is selected by ``qa.evaluate``;
+        without one, no short word has a selected position."""
+        rng = random.Random(0xF1)
+        nonempty = 0
+        for case in range(220):
+            qa = random_qa(rng)
+            witness = string_query_witness(qa, ALPHABET)
+            if witness is None:
+                assert not any(qa.evaluate(word) for word in SHORT_WORDS), case
+                continue
+            nonempty += 1
+            word, position = witness
+            assert position in qa.evaluate(word), case
+        assert 5 <= nonempty <= 215
+
+    def test_counterexample_separates(self):
+        """110 seeded pairs: every containment counterexample is selected
+        by the first query and not the second; without one, the first
+        query's selections on short words are contained in the second's."""
+        rng = random.Random(0xF2)
+        found = 0
+        for case in range(110):
+            first, second = random_qa(rng), random_qa(rng)
+            counterexample = string_containment_counterexample(
+                first, second, ALPHABET
+            )
+            if counterexample is None:
+                for word in SHORT_WORDS:
+                    assert first.evaluate(word) <= second.evaluate(word), case
+                continue
+            found += 1
+            word, position = counterexample
+            assert position in first.evaluate(word), case
+            assert position not in second.evaluate(word), case
+        assert 5 <= found <= 105

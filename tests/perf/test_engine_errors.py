@@ -2,22 +2,38 @@
 
 One ``ValueError`` format — ``unknown engine <name>: valid engines are
 ...`` — regardless of whether the bad name reaches a pipeline entry
-point, the batch dispatcher, or a kernel resolver, and regardless of
-``jobs=`` sharding (validation happens in the parent, up front).
+point, the batch dispatcher, the kernel resolver, or a query wrapper's
+constructor, and regardless of ``jobs=`` sharding (validation happens in
+the parent, up front).  The MSO compilers share one check raising
+``CompilationError: unknown compile engine``.  A misspelling never
+degrades to a default.
 """
 
 import pytest
 
 from repro.core.pipeline import Corpus, Document, batch_select
+from repro.core.query import (
+    CompiledQuery,
+    MSOQuery,
+    RankedAutomatonQuery,
+    UnrankedAutomatonQuery,
+)
+from repro.lang import compile_query_string
+from repro.logic.compile_strings import CompilationError
+from repro.logic.compile_trees import compile_tree_query
+from repro.logic.syntax import Label, Var
 from repro.perf.batch import _engine_call, batch_evaluate, evaluate_one
-from repro.perf.nptrees import tree_kernel
 from repro.perf.registry import (
     VALID_ENGINES,
+    numpy_kernel,
     unknown_engine,
     validate_engine,
 )
-from repro.perf.strings import numpy_kernel
+from repro.ranked.examples import circuit_value_query
+from repro.ranked.mso_to_qa import build_query_qar
 from repro.strings.examples import odd_ones_query_automaton
+from repro.unranked.examples import circuit_query_automaton
+from repro.unranked.mso_to_sqa import build_query_sqa
 
 DOC = "<a><b><c/></b><b/></a>"
 
@@ -75,9 +91,9 @@ class TestUniformMessage:
 
     def test_kernel_resolvers_list_their_engines(self):
         expected = "unknown engine 'bogus': valid engines are 'table', 'numpy'"
-        for resolver in (numpy_kernel, tree_kernel):
+        for trees in (False, True):
             with pytest.raises(ValueError) as excinfo:
-                resolver("bogus")
+                numpy_kernel("bogus", trees=trees)
             assert str(excinfo.value) == expected
 
     def test_every_entry_point_agrees(self):
@@ -95,3 +111,58 @@ class TestUniformMessage:
                 call()
             messages.add(str(excinfo.value))
         assert messages == {MESSAGE}
+
+
+X = Var("x")
+FORMULA = Label(X, "a")
+
+
+class TestMisspellingsNeverDegrade:
+    @pytest.mark.parametrize(
+        "build",
+        [compile_tree_query, build_query_qar, build_query_sqa],
+        ids=["compile_tree_query", "build_query_qar", "build_query_sqa"],
+    )
+    def test_compile_builders_share_one_check(self, build):
+        with pytest.raises(CompilationError) as excinfo:
+            build(FORMULA, X, ["a", "b"], engine="naiv")
+        assert str(excinfo.value) == "unknown compile engine 'naiv'"
+
+    @pytest.mark.parametrize(
+        "build, valid",
+        [
+            (
+                lambda: MSOQuery(FORMULA, X, ("a", "b"), engine="naiv"),
+                "'naive', 'automaton', 'fast'",
+            ),
+            (
+                lambda: RankedAutomatonQuery(
+                    circuit_value_query(), engine="simulat"
+                ),
+                "'simulate', 'behavior'",
+            ),
+            (
+                lambda: UnrankedAutomatonQuery(
+                    circuit_query_automaton(), engine="simulat"
+                ),
+                "'simulate', 'behavior', 'fast'",
+            ),
+            (
+                lambda: CompiledQuery(
+                    MSOQuery(FORMULA, X, ("a", "b")).compiled(),
+                    engine="two-pass",
+                ),
+                "'two_pass', 'fast'",
+            ),
+        ],
+        ids=["MSOQuery", "RankedAutomatonQuery", "UnrankedAutomatonQuery",
+             "CompiledQuery"],
+    )
+    def test_query_wrappers_reject_at_construction(self, build, valid):
+        with pytest.raises(ValueError, match=f"valid engines are {valid}$"):
+            build()
+
+    def test_query_string_has_no_sqa_engine(self):
+        """The SQA route is ``compile_query_sqa``, not an engine name."""
+        with pytest.raises(ValueError, match="unknown engine 'sqa'"):
+            compile_query_string("//a", ["a", "b"], engine="sqa")

@@ -8,6 +8,7 @@ absent, every entry point silently degrades to the default engine and
 counts an ``npkernel.fallbacks`` event.
 """
 
+import os
 import random
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 from repro import obs
 from repro.perf import batch_evaluate, fast_evaluate, fast_transduce
 from repro.perf import npkernel
-from repro.perf.strings import numpy_kernel
+from repro.perf.parallel import parallel_map
+from repro.perf.registry import numpy_kernel
 from repro.strings.behavior import BehaviorError
 from repro.strings.dfa import AutomatonError
 from repro.strings.examples import (
@@ -234,38 +236,6 @@ class TestSequenceInputs:
             )
 
 
-@needs_numpy
-class TestExportedPrograms:
-    def test_attached_engine_matches_oracles(self):
-        rng = random.Random(0xD8)
-        gsqa = _random_hu_gsqa(rng)
-        qa = _random_qa(rng, gsqa.automaton)
-        words = [_random_word(rng, max_length=15) for _ in range(40)]
-
-        header, body = npkernel.export_program(qa)
-        attached = npkernel.AttachedStringEngine(header, body)
-        for word in words:
-            assert attached(word) == qa.evaluate(word), word
-
-        header, body = npkernel.export_program(gsqa)
-        attached = npkernel.AttachedStringEngine(header, body)
-        for word in words:
-            assert attached(word) == gsqa.transduce(word), word
-
-    def test_unknown_symbol_falls_back_to_dict_engine(self):
-        qa = odd_ones_query_automaton()
-        header, body = npkernel.export_program(qa)
-        attached = npkernel.AttachedStringEngine(header, body)
-        word = ["0", "mystery-symbol"]
-        with obs.collecting() as stats:
-            outcome = _outcome(attached, word)
-        assert outcome == _outcome(fast_evaluate, qa, word)
-        assert stats.report()["counters"]["npkernel.word_fallbacks"] >= 1
-
-    def test_non_string_query_is_not_exportable(self):
-        assert npkernel.export_program(object()) is None
-
-
 class TestImportOptionalFallback:
     """The no-numpy contract — runs in every environment (numpy absence
     is *simulated* by monkeypatching the kernel's module handle)."""
@@ -289,13 +259,10 @@ class TestImportOptionalFallback:
         monkeypatch.setattr(npkernel, "np", None)
         qa = odd_ones_query_automaton()
         words = [["0"], ["1", "1"]]
-        assert batch_evaluate(qa, words, engine="numpy") == batch_evaluate(
-            qa, words
-        )
-
-    def test_export_program_unavailable(self, monkeypatch):
-        monkeypatch.setattr(npkernel, "np", None)
-        assert npkernel.export_program(odd_ones_query_automaton()) is None
+        with obs.collecting() as stats:
+            result = batch_evaluate(qa, words, engine="numpy")
+        assert result == batch_evaluate(qa, words)
+        assert stats.report()["counters"]["npkernel.fallbacks"] == 1
 
     def test_unknown_engine_rejected(self):
         qa = odd_ones_query_automaton()
@@ -361,7 +328,6 @@ class TestKernelInternals:
             "perf.np_sweeps",
             "perf.np_query_engines",
             "perf.np_transducers",
-            "perf.np_packed_nfas",
         ):
             assert name in providers
             snapshot = providers[name]()
@@ -372,3 +338,24 @@ class TestKernelInternals:
                 "misses",
                 "evictions",
             }
+
+
+@needs_numpy
+class TestParallelWorkers:
+    """``jobs=N`` workers running the numpy kernel ≡ the serial answer."""
+
+    JOBS = int(os.environ.get("REPRO_PARALLEL_JOBS", "2"))
+
+    def test_string_query(self):
+        qa = odd_ones_query_automaton()
+        rng = random.Random(0xD9)
+        corpus = [_random_word(rng, ("0", "1"), 15) for _ in range(30)]
+        observed = parallel_map(qa, corpus, jobs=self.JOBS, engine="numpy")
+        assert observed == [qa.evaluate(word) for word in corpus]
+
+    def test_transducer(self):
+        gsqa = odd_ones_gsqa()
+        rng = random.Random(0xDA)
+        corpus = [_random_word(rng, ("0", "1"), 15) for _ in range(30)]
+        observed = parallel_map(gsqa, corpus, jobs=self.JOBS, engine="numpy")
+        assert repr(observed) == repr([gsqa.transduce(word) for word in corpus])

@@ -6,10 +6,11 @@ plus adversarial shapes — deep chains, wide flat fans, heavily shared
 subtree types, single-node and empty-label documents) the numpy engines
 must return identical results *and raise identical errors*.  The
 no-numpy and overflow paths must degrade silently behind the
-``npkernel.*`` fallback counters, and exported tree programs must
-evaluate identically when attached to a raw buffer.
+``npkernel.*`` fallback counters, and ``jobs=N`` workers running the
+kernel must return the serial answer.
 """
 
+import os
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from repro import obs
 from repro.core.patterns import compile_pattern
 from repro.perf import nptrees
 from repro.perf.batch import batch_evaluate, evaluate_one
+from repro.perf.parallel import parallel_map
+from repro.perf.registry import numpy_kernel
 from repro.perf.trees import fast_evaluate_marked, fast_evaluate_unranked
 from repro.strings.dfa import DFA
 from repro.trees.generators import (
@@ -226,25 +229,22 @@ class TestFallbacks:
         query = compile_pattern("//a", LABELS)
         automaton = query.compiled()
         tree = Tree("a", (Tree("b", ()),))
-        with obs.collecting() as stats:
-            result = fast_evaluate_marked(automaton, tree, engine="numpy")
-        assert result == fast_evaluate_marked(automaton, tree)
-        counters = stats.report()["counters"]
-        assert counters["npkernel.fallbacks"] == 1
-        assert "npkernel.tree_evaluations" not in counters
-
-    def test_missing_numpy_export_returns_none(self, monkeypatch):
-        monkeypatch.setattr(nptrees, "np", None)
-        query = compile_pattern("//a", LABELS)
-        with obs.collecting() as stats:
-            assert nptrees.export_tree_program(query) is None
-        assert stats.report()["counters"]["npkernel.fallbacks"] == 1
+        for evaluate in (
+            lambda: fast_evaluate_marked(automaton, tree, engine="numpy"),
+            lambda: batch_evaluate(automaton, [tree], engine="numpy")[0],
+        ):
+            with obs.collecting() as stats:
+                result = evaluate()
+            assert result == fast_evaluate_marked(automaton, tree)
+            counters = stats.report()["counters"]
+            assert counters["npkernel.fallbacks"] == 1
+            assert "npkernel.tree_evaluations" not in counters
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(
             ValueError, match="unknown engine 'bogus': valid engines are"
         ):
-            nptrees.tree_kernel("bogus")
+            numpy_kernel("bogus", trees=True)
 
     @requires_numpy
     def test_combo_overflow_kills_engine(self, monkeypatch):
@@ -339,36 +339,11 @@ class TestCountersAndCaching:
         assert "npkernel.tree_types" not in counters
 
 
-class TestExportedPrograms:
+class TestParallelWorkers:
     @requires_numpy
-    def test_export_attach_differential(self):
+    def test_tree_query_matches_serial(self):
         query = compile_pattern("//a[has(b)]", LABELS)
-        program = nptrees.export_tree_program(query)
-        assert program is not None
-        header, payload = program
-        attached = nptrees.AttachedTreeEngine(header, payload)
-        for tree in _random_trees(0xE0, 40) + ADVERSARIAL:
-            assert attached(tree) == evaluate_one(query, tree)
-
-    @requires_numpy
-    def test_export_is_cached_on_engine(self):
-        query = compile_pattern("//a", LABELS)
-        with obs.collecting() as stats:
-            first = nptrees.export_tree_program(query)
-            second = nptrees.export_tree_program(query)
-        assert first is second
-        assert stats.report()["counters"]["npkernel.tree_exports"] == 1
-
-    @requires_numpy
-    def test_unranked_query_has_no_tree_program(self):
-        qa = circuit_query_automaton()
-        assert nptrees.export_tree_program(qa) is None
-
-    @requires_numpy
-    def test_attach_counts(self):
-        query = compile_pattern("//b", LABELS)
-        header, payload = nptrees.export_tree_program(query)
-        with obs.collecting() as stats:
-            nptrees.AttachedTreeEngine(header, payload)
-        counters = stats.report()["counters"]
-        assert counters["npkernel.attached_tree_programs"] == 1
+        corpus = _random_trees(0xE1, 8, max_size=24)
+        jobs = int(os.environ.get("REPRO_PARALLEL_JOBS", "2"))
+        observed = parallel_map(query, corpus, jobs=jobs, engine="numpy")
+        assert repr(observed) == repr([evaluate_one(query, t) for t in corpus])

@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.core.patterns import compile_pattern
 from repro.core.pipeline import Corpus, Document, batch_select
-from repro.perf.parallel import ParallelExecutor
+from repro.perf.parallel import ParallelExecutor, default_jobs
 from repro.perf.shard import estimate_cost, iter_chunks
 from repro.strings.examples import odd_ones_query_automaton
 from repro.trees.generators import random_tree, random_unranked_circuit
@@ -274,3 +274,32 @@ class TestShardPlanning:
         assert estimate_cost(Document.from_text("<a><b/></a>")) == 2
         assert estimate_cost("hello") == 5
         assert estimate_cost(object()) == 1
+
+
+class TestDefaultJobs:
+    """The default worker count follows CPU affinity, not raw core count."""
+
+    def test_respects_sched_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert default_jobs() == 3
+
+    def test_affinity_failure_falls_back_to_cpu_counts(self, monkeypatch):
+        def broken(pid):
+            raise OSError("no affinity on this platform")
+
+        monkeypatch.setattr(os, "sched_getaffinity", broken)
+        if hasattr(os, "process_cpu_count"):
+            monkeypatch.setattr(os, "process_cpu_count", lambda: 7)
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert default_jobs() == 7
+
+    def test_never_below_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set())
+        assert default_jobs() == 1
+
+    def test_missing_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert default_jobs() == 4

@@ -1,5 +1,7 @@
 """NBTA^u (Definition 5.1) and the PTIME emptiness of Lemma 5.2."""
 
+import random
+
 import pytest
 
 from repro.strings.regex import parse_regex, to_nfa
@@ -20,6 +22,33 @@ def has_a_automaton() -> UnrankedTreeAutomaton:
     }
     return UnrankedTreeAutomaton(
         frozenset(states), frozenset({"a", "b"}), frozenset({"y"}), horizontal
+    )
+
+
+def random_nbta(rng: random.Random, max_states: int = 3) -> UnrankedTreeAutomaton:
+    """Regex horizontal languages over a random state set of size ≤ 3."""
+    names = [f"s{i}" for i in range(rng.randint(1, max_states))]
+    states = frozenset(names)
+
+    def piece():
+        first, second = rng.choice(names), rng.choice(names)
+        return rng.choice(
+            [first, f"{first}*", f"({first}|{second})", f"({first}|{second})*"]
+        )
+
+    horizontal = {}
+    for state in names:
+        for symbol in ("a", "b"):
+            if rng.random() < 0.7:
+                expr = " ".join(piece() for _ in range(rng.randint(1, 3)))
+                if rng.random() < 0.3:
+                    expr += " | " + piece()
+                horizontal[(state, symbol)] = to_nfa(parse_regex(expr), states)
+    accepting = frozenset(
+        state for state in names if rng.random() < 0.5
+    ) or frozenset({names[0]})
+    return UnrankedTreeAutomaton(
+        states, frozenset({"a", "b"}), accepting, horizontal
     )
 
 
@@ -58,6 +87,25 @@ class TestLemma52:
     def test_reachability_fixpoint(self):
         nbta = has_a_automaton()
         assert nbta.reachable_states() == frozenset({"n", "y"})
+
+    def test_random_automata_witness_iff_nonempty(self):
+        """220 seeded NBTAs: a witness exists exactly when the language is
+        non-empty, the run semantics accepts it, and an empty language
+        rejects every small tree."""
+        rng = random.Random(0xE2)
+        small_trees = list(enumerate_trees(["a", "b"], 3))
+        empties = 0
+        for case in range(220):
+            nbta = random_nbta(rng)
+            witness = nbta.witness()
+            if nbta.is_empty():
+                empties += 1
+                assert witness is None, case
+                assert not any(nbta.accepts(tree) for tree in small_trees), case
+            else:
+                assert witness is not None and nbta.accepts(witness), case
+        # The generator must exercise both outcomes for this to mean much.
+        assert 5 <= empties <= 215
 
 
 class TestBooleanOperations:

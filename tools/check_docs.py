@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lints, run by the CI ``docs`` job.
 
-Four checks, all dependency-free:
+Five checks, all dependency-free:
 
 1. **Docstring coverage** over ``src/repro``: every module, public
    class, and public function/method should carry a docstring.  The
@@ -21,6 +21,10 @@ Four checks, all dependency-free:
    (:data:`repro.serve.protocol.OPS` / ``ERROR_KINDS``), and every
    frame line in its ```` ```json ```` fences must be well-formed —
    a JSON object whose ``op`` / ``error.kind`` the server knows.
+5. **Counter-glossary sync**: every counter named in the metrics tables
+   of DESIGN.md's "Metrics contract" section appears as a string literal
+   under ``src/repro``, and every literal name passed to ``incr`` /
+   ``gauge_max`` there has a row (docstrings are skipped on both sides).
 
 Exit code 0 when all pass; 1 with a report otherwise.
 """
@@ -202,6 +206,82 @@ def check_serve_doc(path: Path) -> tuple[int, list[str]]:
     return checked, problems
 
 
+def glossary_names(design_text: str) -> set[str]:
+    """Counter names in the first column of the metrics-contract tables.
+
+    A cell may list several names separated by `` / ``; after the first,
+    a name without a dot is shorthand: ``_misses`` replaces the previous
+    name's last ``_`` suffix (``strings.select_cache_hits`` →
+    ``strings.select_cache_misses``) and ``cache_misses`` takes the
+    previous name's namespace (``compile.cache_misses``).
+    """
+    start = design_text.index("### Metrics contract")
+    end = design_text.find("\n## ", start)
+    names: set[str] = set()
+    for line in design_text[start:end].splitlines():
+        if not line.startswith("| `"):
+            continue
+        previous = ""
+        for raw in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if "." in raw:
+                name = raw
+            elif raw.startswith("_"):
+                name = previous.rsplit("_", 1)[0] + raw
+            else:
+                name = previous.split(".", 1)[0] + "." + raw
+            names.add(name)
+            previous = name
+    return names
+
+
+def counter_literals(root: Path) -> tuple[set[str], dict[str, str]]:
+    """(every non-docstring string literal, counter name → first emitter).
+
+    Emitted names are the literal first arguments of ``incr`` /
+    ``gauge_max`` calls; the value is the ``file:line`` of the first one.
+    """
+    literals: set[str] = set()
+    emitted: dict[str, str] = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and _documented(node):
+                docstrings.add(id(node.body[0].value))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                literals.add(node.value)
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("incr", "gauge_max")
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                emitted.setdefault(
+                    node.args[0].value,
+                    f"{path.relative_to(REPO)}:{node.lineno}",
+                )
+    return literals, emitted
+
+
+def check_counter_glossary(design: Path, root: Path) -> tuple[int, list[str]]:
+    """(checked, problems): DESIGN.md's counter rows vs the code."""
+    documented = glossary_names(design.read_text())
+    literals, emitted = counter_literals(root)
+    problems = [
+        f"{design.name} documents `{name}`, but no code under "
+        f"{root.relative_to(REPO)} names it"
+        for name in sorted(documented - literals)
+    ]
+    problems += [
+        f"{where} emits `{name}`, which has no {design.name} row"
+        for name, where in sorted(emitted.items())
+        if name not in documented
+    ]
+    return len(documented | set(emitted)), problems
+
+
 def check_query_strings(root: Path) -> tuple[int, list[str]]:
     """(checked, problems) over every Markdown file in the repo."""
     from repro.lang import QuerySyntaxError, parse_mso, parse_xpath
@@ -222,7 +302,7 @@ def check_query_strings(root: Path) -> tuple[int, list[str]]:
 
 
 def main() -> int:
-    """Run both checks and print a report."""
+    """Run every check and print a report."""
     failures = 0
 
     documented, total, missing = docstring_coverage(REPO / "src" / "repro")
@@ -262,6 +342,16 @@ def main() -> int:
     if serve_problems:
         failures += 1
         for line in serve_problems:
+            print(f"  {line}")
+
+    checked, glossary_problems = check_counter_glossary(
+        REPO / "DESIGN.md", REPO / "src" / "repro"
+    )
+    print(f"counter glossary sync: {checked - len(glossary_problems)}/"
+          f"{checked} counter names check out")
+    if glossary_problems:
+        failures += 1
+        for line in glossary_problems:
             print(f"  {line}")
 
     return 1 if failures else 0
