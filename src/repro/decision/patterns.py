@@ -48,26 +48,21 @@ def _marked_dtd_automaton(dtd: DTD) -> UnrankedTreeAutomaton:
 def _one_mark_automaton(alphabet: frozenset) -> UnrankedTreeAutomaton:
     """States 0/1 = number of marked nodes in the subtree; accepts 1."""
     states = frozenset({0, 1})
-
-    def word_nfa(pattern: str) -> NFA:
-        # "zeros": 0*;  "one": 0*10*.
-        if pattern == "zeros":
-            return NFA.build({"z"}, states, {("z", 0): {"z"}}, {"z"}, {"z"})
-        return NFA.build(
-            {"z", "o"},
-            states,
-            {("z", 0): {"z"}, ("z", 1): {"o"}, ("o", 0): {"o"}},
-            {"z"},
-            {"o"},
-        )
-
+    zeros = NFA.build({"z"}, states, {("z", 0): {"z"}}, {"z"}, {"z"})  # 0*
+    one = NFA.build(  # 0*10*
+        {"z", "o"},
+        states,
+        {("z", 0): {"z"}, ("z", 1): {"o"}, ("o", 0): {"o"}},
+        {"z"},
+        {"o"},
+    )
     horizontal = {}
     for label, bit in sorted(alphabet, key=repr):
         if bit:
-            horizontal[(1, (label, bit))] = word_nfa("zeros")
+            horizontal[(1, (label, bit))] = zeros
         else:
-            horizontal[(0, (label, bit))] = word_nfa("zeros")
-            horizontal[(1, (label, bit))] = word_nfa("one")
+            horizontal[(0, (label, bit))] = zeros
+            horizontal[(1, (label, bit))] = one
     return UnrankedTreeAutomaton(
         states, frozenset(alphabet), frozenset({1}), horizontal
     )
@@ -108,12 +103,9 @@ def pattern_query_witness(
     """A DTD-valid tree and node the pattern selects, or ``None``."""
     dtd_marked = _marked_dtd_automaton(dtd)
     query = compile_pattern(pattern, sorted(dtd_marked.states, key=repr))
-    product = (
-        dtd_marked.intersection(_one_mark_automaton(dtd_marked.alphabet))
-        .trimmed()
-        .intersection(query.compiled().to_nbta())
-        .trimmed()
-    )
+    product = dtd_marked.intersection(
+        _one_mark_automaton(dtd_marked.alphabet)
+    ).intersection(query.compiled().to_nbta())
     witness = _budgeted_witness(product, budget)
     if witness is None:
         return None
@@ -130,11 +122,8 @@ def pattern_containment_counterexample(
     second_query = compile_pattern(second, alphabet)
     product = (
         dtd_marked.intersection(_one_mark_automaton(dtd_marked.alphabet))
-        .trimmed()
         .intersection(first_query.compiled().to_nbta())
-        .trimmed()
         .intersection(second_query.compiled().complement().to_nbta())
-        .trimmed()
     )
     witness = _budgeted_witness(product, budget)
     if witness is None:

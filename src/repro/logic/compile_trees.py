@@ -364,10 +364,8 @@ class _TreeCompiler:
     def _compile(self, formula: Formula, tracks: Tracks) -> UnrankedTreeAutomaton:
         """One connective's construction (recursion re-enters ``compile``)."""
         if isinstance(formula, (Label, Edge, Descendant, Less, Equal, Member)):
-            return (
-                self._atom(formula, tracks)
-                .intersection(self._validity_interned(tracks))
-                .trimmed()
+            return self._atom(formula, tracks).intersection(
+                self._validity_interned(tracks)
             )
 
         if isinstance(formula, Not):
@@ -376,14 +374,11 @@ class _TreeCompiler:
                 inner.complement()
                 .to_nbta()
                 .intersection(self._validity_interned(tracks))
-                .trimmed()
             )
 
         if isinstance(formula, And):
-            return (
-                self.compile(formula.left, tracks)
-                .intersection(self.compile(formula.right, tracks))
-                .trimmed()
+            return self.compile(formula.left, tracks).intersection(
+                self.compile(formula.right, tracks)
             )
 
         if isinstance(formula, Or):

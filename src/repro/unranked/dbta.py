@@ -122,23 +122,27 @@ class DeterministicUnrankedAutomaton:
         return minimize_dbta(self)
 
     def to_nbta(self) -> UnrankedTreeAutomaton:
-        """View as an NBTA^u (horizontal NFAs with disjoint languages)."""
+        """View as an NBTA^u (horizontal NFAs with disjoint languages).
+
+        The NFAs of one label share the classifier DFA's transition table
+        and differ only in their accepting states.
+        """
         horizontal: dict[tuple[State, Label], NFA] = {}
         for label, classifier in self.classifiers.items():
+            dfa = classifier.dfa
+            transitions = {
+                key: frozenset({target}) for key, target in dfa.transitions.items()
+            }
             for vertical in self.states:
                 accepting_h = frozenset(
                     h for h, v in classifier.classify.items() if v == vertical
                 )
                 if not accepting_h:
                     continue
-                dfa = classifier.dfa
                 horizontal[(vertical, label)] = NFA(
                     dfa.states,
                     dfa.alphabet,
-                    {
-                        key: frozenset({target})
-                        for key, target in dfa.transitions.items()
-                    },
+                    transitions,
                     frozenset({dfa.initial}),
                     accepting_h,
                 )

@@ -10,11 +10,19 @@ provide the full toolkit the later sections need:
 
 * :meth:`UnrankedTreeAutomaton.reachable_states` /
   :meth:`~UnrankedTreeAutomaton.is_empty` — the PTIME fixpoint of
-  Lemma 5.2, with witness-tree extraction;
-* products (intersection/union), homomorphic relabeling (the projection
-  step of the MSO compiler);
+  Lemma 5.2, with witness-tree extraction (states, labels and accepting
+  states are tried in ``repr`` order, so the witness does not depend on
+  the interpreter's hash seed);
+* :meth:`~UnrankedTreeAutomaton.intersection` — the product, built
+  bottom-up: a pair state exists only once some tree reaches it, each
+  pair's horizontal automaton runs over the pair states reached so far,
+  and the result comes back trim;
+* union, :meth:`~UnrankedTreeAutomaton.trimmed`, homomorphic relabeling
+  (the projection step of the MSO compiler);
 * :meth:`~UnrankedTreeAutomaton.run` — the inductive semantics ``δ*``.
 
+Horizontal NFAs are packed to bitsets (:class:`~repro.perf.bitset.PackedNFA`)
+once per call that needs them; no packing outlives the call.
 Determinization lives in :mod:`repro.unranked.dbta`.
 """
 
@@ -24,26 +32,27 @@ from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
 from ..strings.dfa import AutomatonError
-from ..strings.nfa import NFA, intersection_nfa, union_nfa
+from ..strings.nfa import EPSILON, NFA, union_nfa
 from ..trees.tree import Path, Tree
 
 State = Hashable
 Label = Hashable
 
-#: Lazily-created identity-keyed cache of :class:`~repro.perf.bitset.PackedNFA`
-#: wrappers for horizontal NFAs, shared by ``run``/emptiness/witness search.
-#: Created on first use to keep ``repro.perf`` out of the import cycle.
-_PACKED_NFAS = None
 
+def _packer():
+    """A per-call ``nfa -> PackedNFA`` memo (imported lazily: ``repro.perf``
+    imports this module)."""
+    from ..perf.bitset import PackedNFA
 
-def _packed_nfa(nfa: NFA):
-    global _PACKED_NFAS
-    if _PACKED_NFAS is None:
-        from ..perf.bitset import PackedNFA
-        from ..perf.registry import EngineRegistry
+    packed: dict[int, PackedNFA] = {}
 
-        _PACKED_NFAS = EngineRegistry(PackedNFA, capacity=512)
-    return _PACKED_NFAS.get(nfa)
+    def pack(nfa: NFA) -> PackedNFA:
+        entry = packed.get(id(nfa))
+        if entry is None:
+            entry = packed[id(nfa)] = PackedNFA(nfa)
+        return entry
+
+    return pack
 
 
 def empty_word_nfa(alphabet: Iterable[State]) -> NFA:
@@ -100,6 +109,7 @@ class UnrankedTreeAutomaton:
 
     def run(self, tree: Tree) -> dict[Path, frozenset[State]]:
         """``δ*`` at every node: the possible states of each subtree."""
+        pack = _packer()
         result: dict[Path, frozenset[State]] = {}
         for path in tree.postorder():
             node = tree.subtree(path)
@@ -109,7 +119,7 @@ class UnrankedTreeAutomaton:
                 nfa = self.horizontal.get((state, node.label))
                 if nfa is None:
                     continue
-                if _word_of_sets_intersects(nfa, child_sets):
+                if _word_of_sets_intersects(pack(nfa), child_sets):
                     possible.add(state)
             result[path] = frozenset(possible)
         return result
@@ -131,19 +141,26 @@ class UnrankedTreeAutomaton:
         return frozenset(self._reachable_with_witnesses())
 
     def _reachable_with_witnesses(self) -> dict[State, Tree]:
-        """The Lemma 5.2 fixpoint, remembering a witness tree per state."""
+        """The Lemma 5.2 fixpoint, remembering a witness tree per state.
+
+        States and labels are tried in ``repr`` order, so the witnesses
+        do not depend on set iteration (the hash seed).
+        """
+        pack = _packer()
+        states = sorted(self.states, key=repr)
+        labels = sorted(self.alphabet, key=repr)
         witnesses: dict[State, Tree] = {}
         changed = True
         while changed:
             changed = False
-            for state in self.states:
+            for state in states:
                 if state in witnesses:
                     continue
-                for label in self.alphabet:
+                for label in labels:
                     nfa = self.horizontal.get((state, label))
                     if nfa is None:
                         continue
-                    word = _shortest_word_over(nfa, witnesses.keys())
+                    word = _shortest_word_over(pack(nfa), witnesses.keys())
                     if word is None:
                         continue
                     witnesses[state] = Tree(label, [witnesses[q] for q in word])
@@ -158,7 +175,7 @@ class UnrankedTreeAutomaton:
     def witness(self) -> Tree | None:
         """Some accepted tree, or ``None`` when the language is empty."""
         witnesses = self._reachable_with_witnesses()
-        for state in self.accepting:
+        for state in sorted(self.accepting, key=repr):
             if state in witnesses:
                 return witnesses[state]
         return None
@@ -168,8 +185,13 @@ class UnrankedTreeAutomaton:
     # ------------------------------------------------------------------
 
     def intersection(self, other: "UnrankedTreeAutomaton") -> "UnrankedTreeAutomaton":
-        """Product automaton for the intersection."""
-        return _product(self, other, accept_both=True)
+        """Product automaton for the intersection, already trim.
+
+        Pair states ``(p, q)`` are created bottom-up, only once some tree
+        reaches them, and kept only when some accepted tree uses them; see
+        :func:`_product`.  ``.trimmed()`` of the result is the result.
+        """
+        return _product(self, other)
 
     def union(self, other: "UnrankedTreeAutomaton") -> "UnrankedTreeAutomaton":
         """Disjoint-union automaton for the union."""
@@ -201,34 +223,33 @@ class UnrankedTreeAutomaton:
         accepted tree.  Trimming dramatically shrinks the profile spaces of
         the BMW determinization, keeping the MSO compiler tractable.
         Horizontal NFAs are trimmed to their live parts as well.
+        Idempotent: a trim automaton comes back unchanged.
         """
         reachable = self.reachable_states()
-        # Co-reachability fixpoint: a state is useful if it can appear as a
-        # letter of an accepted horizontal word of a useful parent state
-        # (with the siblings all reachable), or is accepting itself.
-        useful: set[State] = set(self.accepting & reachable)
-        changed = True
-        while changed:
-            changed = False
-            for (parent, _label), nfa in self.horizontal.items():
-                if parent not in useful:
-                    continue
-                for symbol in _live_symbols(nfa, reachable):
-                    if symbol not in useful and symbol in reachable:
-                        useful.add(symbol)
-                        changed = True
+        by_parent: dict[State, list[NFA]] = {}
+        for (parent, _label), nfa in self.horizontal.items():
+            if parent in reachable:
+                by_parent.setdefault(parent, []).append(nfa)
+        # Co-reachability: a state is useful if it is accepting, or a live
+        # letter of (an accepted horizontal word over reachable states of)
+        # a useful parent.  One backward pass per NFA.
+        useful = _closure(
+            self.accepting & reachable,
+            lambda parent: [
+                symbol
+                for nfa in by_parent.get(parent, ())
+                for symbol in _live_symbols(nfa, reachable)
+            ],
+        )
         horizontal: dict[tuple[State, Label], NFA] = {}
         for (parent, label), nfa in self.horizontal.items():
             if parent not in useful:
                 continue
-            restricted = _restrict_nfa(nfa, frozenset(useful))
+            restricted = _restrict_nfa(nfa, useful)
             if restricted is not None:
                 horizontal[(parent, label)] = restricted
         return UnrankedTreeAutomaton(
-            frozenset(useful),
-            self.alphabet,
-            self.accepting & frozenset(useful),
-            horizontal,
+            useful, self.alphabet, self.accepting & useful, horizontal
         )
 
     def relabel(
@@ -255,8 +276,6 @@ class UnrankedTreeAutomaton:
 
 def _relabel_nfa(nfa: NFA, mapping, new_alphabet: frozenset[State]) -> NFA:
     """Rename the alphabet symbols of an NFA (injective mapping)."""
-    from ..strings.nfa import EPSILON
-
     transitions = {}
     for (source, symbol), targets in nfa.transitions.items():
         key_symbol = symbol if symbol is EPSILON else mapping(symbol)
@@ -266,106 +285,258 @@ def _relabel_nfa(nfa: NFA, mapping, new_alphabet: frozenset[State]) -> NFA:
     )
 
 
+def _closure(seeds: Iterable[State], successors) -> frozenset[State]:
+    """Everything reachable from ``seeds`` through ``successors(state)``."""
+    found = set(seeds)
+    stack = list(found)
+    while stack:
+        for successor in successors(stack.pop()):
+            if successor not in found:
+                found.add(successor)
+                stack.append(successor)
+    return frozenset(found)
+
+
+# ----------------------------------------------------------------------
+# The product, bottom-up from reachable pair states
+# ----------------------------------------------------------------------
+
+
+def _operands(automaton: UnrankedTreeAutomaton) -> dict[Label, list[tuple]]:
+    """Per label, ``(state, structure, accepting)`` for each horizontal NFA.
+
+    A *structure* is ``(initials, out)`` with ``out[h][symbol]`` the
+    successor set of NFA state ``h``.  An NFA with ε-moves is determinized
+    first (without the empty dead subset); its accepting set is then the
+    subsets meeting the NFA's accepting states.  NFAs with equal
+    transition tables and initial sets share one structure, so every
+    distinct operand is determinized and packed once per product.
+    """
+    structures: dict[tuple, tuple] = {}
+    by_label: dict[Label, list[tuple]] = {}
+    for (state, label), nfa in automaton.horizontal.items():
+        key = (frozenset(nfa.transitions.items()), nfa.initials)
+        packed = structures.get(key)
+        if packed is None:
+            packed = structures[key] = _packed_structure(nfa)
+        structure, subsets = packed
+        if subsets is None:
+            accepting = nfa.accepting
+        else:
+            accepting = frozenset(s for s in subsets if s & nfa.accepting)
+        by_label.setdefault(label, []).append((state, structure, accepting))
+    return by_label
+
+
+def _packed_structure(nfa: NFA) -> tuple:
+    """``((initials, out), subsets)``: ``subsets`` lists the determinized
+    states when the NFA had ε-moves, else it is ``None``."""
+    out: dict[State, dict] = {}
+    if not any(symbol is EPSILON for _source, symbol in nfa.transitions):
+        for (source, symbol), targets in nfa.transitions.items():
+            if targets:
+                out.setdefault(source, {})[symbol] = targets
+        return (nfa.initials, out), None
+    dfa = nfa.determinized()
+    dead = frozenset()
+    for (source, symbol), target in dfa.transitions.items():
+        if source != dead and target != dead:
+            out.setdefault(source, {})[symbol] = frozenset({target})
+    initials = frozenset() if dfa.initial == dead else frozenset({dfa.initial})
+    return (initials, out), dfa.states
+
+
+class _Run:
+    """The product of two operand structures, explored over the pair
+    letters reached so far.  Candidates ``(p, q, label, lacc, racc, run)``
+    with the same pair of structures share one run and differ only in
+    their accepting states."""
+
+    __slots__ = ("left", "right", "initials", "seen", "edges", "pending")
+
+    def __init__(self, left: tuple, right: tuple) -> None:
+        self.left = left[1]
+        self.right = right[1]
+        self.initials = frozenset((a, b) for a in left[0] for b in right[0])
+        self.seen: set[tuple] = set()
+        self.edges: dict[tuple, list[tuple]] = {}
+        self.pending: list[tuple] = []
+
+
 def _product(
-    left: UnrankedTreeAutomaton,
-    right: UnrankedTreeAutomaton,
-    accept_both: bool,
+    left: UnrankedTreeAutomaton, right: UnrankedTreeAutomaton
 ) -> UnrankedTreeAutomaton:
+    """The trim product automaton for ``L(left) ∩ L(right)``.
+
+    Bottom-up worklist: a pair state ``(p, q)`` is created once, for some
+    label ``a``, the horizontal languages ``δ(p, a)`` and ``δ(q, a)``
+    share a word over pair states that already exist; every
+    ``(pair, label)`` product NFA is explored on the fly over exactly
+    those letters (each pair letter is joined once with each product
+    state that can read its left half).  Co-reachability then takes one
+    backward pass per kept NFA, and the result is restricted to the
+    useful pair states: the eager ``|L|·|R|`` product followed by
+    :meth:`~UnrankedTreeAutomaton.trimmed`, without building the rest.
+    """
     if left.alphabet != right.alphabet:
         raise AutomatonError("product requires identical alphabets")
-    states = frozenset(
-        (p, q) for p in left.states for q in right.states
+    left_ops, right_ops = _operands(left), _operands(right)
+    runs: dict[tuple[int, int], _Run] = {}
+    candidates: list[tuple] = []
+    stack: list[tuple] = []  # (run, product NFA state) to expand
+    for label, lefts in left_ops.items():
+        for q, right_structure, racc in right_ops.get(label, ()):
+            for p, left_structure, lacc in lefts:
+                key = (id(left_structure), id(right_structure))
+                run = runs.get(key)
+                if run is None:
+                    run = runs[key] = _Run(left_structure, right_structure)
+                    run.seen.update(run.initials)
+                    stack.extend((run, start) for start in run.initials)
+                candidate = (p, q, label, lacc, racc, run)
+                run.pending.append(candidate)
+                candidates.append(candidate)
+
+    pairs: set[tuple] = set()
+    new_pairs: list[tuple] = []
+    right_halves: dict[State, list[State]] = {}  # p -> q of reached (p, q)
+    waiting: dict[State, list[tuple]] = {}  # p -> expanded states reading p
+
+    def add_edge(run, source, letter, left_targets, right_targets) -> None:
+        targets = [(a, b) for a in left_targets for b in right_targets]
+        run.edges.setdefault(source, []).append((letter, targets))
+        for target in targets:
+            if target not in run.seen:
+                run.seen.add(target)
+                stack.append((run, target))
+
+    while stack or new_pairs:
+        if stack:
+            run, state = stack.pop()
+            a, b = state
+            if run.pending:
+                still = []
+                for candidate in run.pending:
+                    pair = candidate[:2]
+                    if pair in pairs:
+                        continue
+                    if a in candidate[3] and b in candidate[4]:
+                        pairs.add(pair)
+                        new_pairs.append(pair)
+                    else:
+                        still.append(candidate)
+                run.pending = still
+            right_out = run.right.get(b, {})
+            for p, left_targets in run.left.get(a, {}).items():
+                waiting.setdefault(p, []).append((run, state))
+                for q in right_halves.get(p, ()):
+                    right_targets = right_out.get(q)
+                    if right_targets:
+                        add_edge(run, state, (p, q), left_targets, right_targets)
+        else:
+            p, q = pair = new_pairs.pop()
+            right_halves.setdefault(p, []).append(q)
+            for run, state in waiting.get(p, ()):
+                right_targets = run.right.get(state[1], {}).get(q)
+                if right_targets:
+                    add_edge(run, state, pair, run.left[state[0]][p], right_targets)
+
+    # Keep, per reached pair, the candidates whose product NFA accepts.
+    kept: dict[tuple, list[tuple]] = {}
+    for p, q, label, lacc, racc, run in candidates:
+        if (p, q) not in pairs:
+            continue
+        accepting = frozenset(s for s in run.seen if s[0] in lacc and s[1] in racc)
+        if accepting:
+            kept.setdefault((p, q), []).append((label, run, accepting))
+
+    reverse: dict[int, dict] = {}
+
+    def live_letters(pair: tuple) -> list[tuple]:
+        letters: list[tuple] = []
+        for _label, run, accepting in kept.get(pair, ()):
+            inverse = reverse.get(id(run))
+            if inverse is None:
+                inverse = reverse[id(run)] = {}
+                for source, moves in run.edges.items():
+                    for letter, targets in moves:
+                        for target in targets:
+                            inverse.setdefault(target, []).append((source, letter))
+            seen = set(accepting)
+            frontier = list(accepting)
+            while frontier:
+                for source, letter in inverse.get(frontier.pop(), ()):
+                    letters.append(letter)
+                    if source not in seen:
+                        seen.add(source)
+                        frontier.append(source)
+        return letters
+
+    final = frozenset(
+        pair
+        for pair in pairs
+        if pair[0] in left.accepting and pair[1] in right.accepting
     )
+    useful = _closure(final, live_letters)
+
+    # Each run restricted to useful letters and trimmed forward once; the
+    # NFAs of its candidates share the transition table.
+    trimmed_runs: dict[int, tuple] = {}
     horizontal: dict[tuple[State, Label], NFA] = {}
-    for p in left.states:
-        for q in right.states:
-            for label in left.alphabet:
-                left_nfa = left.horizontal.get((p, label))
-                right_nfa = right.horizontal.get((q, label))
-                if left_nfa is None or right_nfa is None:
-                    continue
-                horizontal[((p, q), label)] = _pair_word_intersection(
-                    left_nfa, right_nfa, states
+    for pair in useful:
+        for label, run, accepting in kept[pair]:
+            shared = trimmed_runs.get(id(run))
+            if shared is None:
+                states = _closure(
+                    run.initials,
+                    lambda source, run=run: [
+                        target
+                        for letter, targets in run.edges.get(source, ())
+                        if letter in useful
+                        for target in targets
+                    ],
                 )
-    accepting = frozenset(
-        (p, q)
-        for p in left.states
-        for q in right.states
-        if p in left.accepting and q in right.accepting
-    )
-    return UnrankedTreeAutomaton(states, left.alphabet, accepting, horizontal)
-
-
-def _pair_word_intersection(
-    left_nfa: NFA, right_nfa: NFA, pair_alphabet: frozenset
-) -> NFA:
-    """NFA over pair states accepting ``(p_1,q_1)..(p_n,q_n)`` with both
-    projections accepted by the respective horizontal NFAs."""
-    from ..strings.nfa import EPSILON
-
-    def lift(nfa: NFA, project) -> NFA:
-        transitions: dict[tuple, frozenset] = {}
-        for (source, symbol), targets in nfa.transitions.items():
-            if symbol is EPSILON:
-                transitions[(source, EPSILON)] = targets
-                continue
-            for pair in pair_alphabet:
-                if project(pair) == symbol:
-                    key = (source, pair)
-                    transitions[key] = transitions.get(key, frozenset()) | targets
-        return NFA(nfa.states, pair_alphabet, transitions, nfa.initials, nfa.accepting)
-
-    return intersection_nfa(
-        lift(left_nfa, lambda pair: pair[0]),
-        lift(right_nfa, lambda pair: pair[1]),
-    )
+                transitions = {
+                    (source, letter): frozenset(targets)
+                    for source in states
+                    for letter, targets in run.edges.get(source, ())
+                    if letter in useful
+                }
+                shared = trimmed_runs[id(run)] = (states, transitions)
+            states, transitions = shared
+            horizontal[(pair, label)] = NFA(
+                states, useful, transitions, run.initials, accepting & states
+            )
+    return UnrankedTreeAutomaton(useful, left.alphabet, final, horizontal)
 
 
 def _live_symbols(nfa: NFA, allowed: frozenset[State]) -> frozenset[State]:
     """Symbols (⊆ allowed) occurring on some accepting path of the NFA
     restricted to the allowed alphabet."""
-    from ..strings.nfa import EPSILON
-
-    # Forward-reachable NFA states under allowed symbols.
-    forward = set(nfa.epsilon_closure(nfa.initials))
-    frontier = list(forward)
-    while frontier:
-        state = frontier.pop()
-        for symbol in list(allowed) + [EPSILON]:
-            for target in nfa.transitions.get((state, symbol), ()):
-                if target not in forward:
-                    forward.add(target)
-                    frontier.append(target)
-    # Backward-reachable from accepting states.
-    inverse: dict[State, set[tuple[State, State]]] = {}
+    moves: dict[State, list[tuple]] = {}
+    inverse: dict[State, list[State]] = {}
     for (source, symbol), targets in nfa.transitions.items():
         if symbol is not EPSILON and symbol not in allowed:
             continue
+        moves.setdefault(source, []).append((symbol, targets))
         for target in targets:
-            inverse.setdefault(target, set()).add((source, symbol))
-    backward = set(nfa.accepting)
-    frontier = list(backward)
-    while frontier:
-        state = frontier.pop()
-        for source, _symbol in inverse.get(state, ()):
-            if source not in backward:
-                backward.add(source)
-                frontier.append(source)
-    live = forward & backward
-    symbols: set[State] = set()
-    for (source, symbol), targets in nfa.transitions.items():
-        if symbol is EPSILON or symbol not in allowed or source not in live:
-            continue
-        if targets & live:
-            symbols.add(symbol)
-    return frozenset(symbols)
+            inverse.setdefault(target, []).append(source)
+    forward = _closure(
+        nfa.initials,
+        lambda state: [t for _symbol, ts in moves.get(state, ()) for t in ts],
+    )
+    backward = _closure(nfa.accepting, lambda state: inverse.get(state, ()))
+    return frozenset(
+        symbol
+        for source in forward
+        for symbol, targets in moves.get(source, ())
+        if symbol is not EPSILON and not targets.isdisjoint(backward)
+    )
 
 
 def _restrict_nfa(nfa: NFA, allowed: frozenset[State]) -> NFA | None:
     """The NFA with non-allowed alphabet symbols removed and dead states
     trimmed; ``None`` when the restricted language is empty."""
-    from ..strings.nfa import EPSILON
-
     transitions = {
         key: targets
         for key, targets in nfa.transitions.items()
@@ -379,18 +550,15 @@ def _restrict_nfa(nfa: NFA, allowed: frozenset[State]) -> NFA | None:
     return restricted
 
 
-def _word_of_sets_intersects(
-    nfa: NFA, child_sets: list[frozenset[State]]
-) -> bool:
+def _word_of_sets_intersects(packed, child_sets: list[frozenset[State]]) -> bool:
     """Is some word ``q_1..q_n`` with ``q_i ∈ child_sets[i]`` accepted?
 
     Runs on the bitset kernel: the frontier is a Python-int mask advanced
-    by the precomputed (ε-closed) per-symbol successor rows of the cached
+    by the precomputed (ε-closed) per-symbol successor rows of the
     :class:`~repro.perf.bitset.PackedNFA`.
     """
     from ..perf.bitset import iter_bits
 
-    packed = _packed_nfa(nfa)
     current = packed.initial_mask
     for options in child_sets:
         moved = 0
@@ -406,9 +574,7 @@ def _word_of_sets_intersects(
     return bool(current & packed.accepting_mask)
 
 
-def _shortest_word_over(
-    nfa: NFA, allowed: Iterable[State]
-) -> tuple[State, ...] | None:
+def _shortest_word_over(packed, allowed: Iterable[State]) -> tuple[State, ...] | None:
     """A shortest accepted word using only ``allowed`` symbols.
 
     Level-order BFS over bitset frontiers with *antichain* pruning: a
@@ -420,7 +586,6 @@ def _shortest_word_over(
     from .. import obs
     from ..perf.bitset import iter_bits
 
-    packed = _packed_nfa(nfa)
     sink = obs.SINK
     sink.incr("antichain.searches")
     allowed_set = set(allowed)

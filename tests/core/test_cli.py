@@ -1,6 +1,10 @@
 """The command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,28 @@ class TestDecideCLI:
 
     def test_wrong_pattern_count(self, dtd_file, capsys):
         assert main(["decide", "containment", dtd_file, "//author"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["emptiness", "//author"], ["containment", "//author", "/book/author"]],
+        ids=["emptiness", "containment"],
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, dtd_file, args):
+        """Fresh interpreters under three hash seeds print the same witness."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "decide", args[0], dtd_file]
+                + args[1:],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert completed.returncode == 1, completed.stderr
+            outputs.add(completed.stdout)
+        assert len(outputs) == 1, outputs
 
 
 class TestStatsFlag:

@@ -2,9 +2,12 @@
 
 import random
 
-import pytest
-
+from repro import obs
+from repro.core.patterns import compile_pattern
+from repro.decision import patterns as decision
+from repro.strings.nfa import EPSILON, NFA, intersection_nfa
 from repro.strings.regex import parse_regex, to_nfa
+from repro.trees.dtd import BIBLIOGRAPHY_DTD, parse_dtd
 from repro.trees.generators import enumerate_trees
 from repro.trees.tree import Tree
 from repro.unranked.nbta import UnrankedTreeAutomaton
@@ -50,6 +53,40 @@ def random_nbta(rng: random.Random, max_states: int = 3) -> UnrankedTreeAutomato
     return UnrankedTreeAutomaton(
         states, frozenset({"a", "b"}), accepting, horizontal
     )
+
+
+def eager_product(
+    left: UnrankedTreeAutomaton, right: UnrankedTreeAutomaton
+) -> UnrankedTreeAutomaton:
+    """The reference product: every pair state, and every horizontal NFA
+    lifted to the whole pair alphabet before intersecting."""
+    pairs = frozenset((p, q) for p in left.states for q in right.states)
+
+    def lift(nfa: NFA, half: int) -> NFA:
+        transitions: dict = {}
+        for (source, symbol), targets in nfa.transitions.items():
+            if symbol is EPSILON:
+                transitions[(source, EPSILON)] = targets
+                continue
+            for pair in pairs:
+                if pair[half] == symbol:
+                    key = (source, pair)
+                    transitions[key] = transitions.get(key, frozenset()) | targets
+        return NFA(nfa.states, pairs, transitions, nfa.initials, nfa.accepting)
+
+    horizontal = {}
+    for p, q in pairs:
+        for label in left.alphabet:
+            left_nfa = left.horizontal.get((p, label))
+            right_nfa = right.horizontal.get((q, label))
+            if left_nfa is not None and right_nfa is not None:
+                horizontal[((p, q), label)] = intersection_nfa(
+                    lift(left_nfa, 0), lift(right_nfa, 1)
+                )
+    accepting = frozenset(
+        (p, q) for p, q in pairs if p in left.accepting and q in right.accepting
+    )
+    return UnrankedTreeAutomaton(pairs, left.alphabet, accepting, horizontal)
 
 
 class TestSemantics:
@@ -142,3 +179,62 @@ class TestBooleanOperations:
         projected = nbta.relabel({"a": "c", "b": "c"})
         for tree in enumerate_trees(["c"], 3):
             assert projected.accepts(tree), str(tree)
+
+
+class TestProduct:
+    """The bottom-up product against the eager reference construction."""
+
+    def test_random_pairs_match_the_reference(self):
+        """210 seeded pairs: the product accepts exactly the trees both
+        operands accept, agrees with the eager product on emptiness,
+        witnesses are accepted by both operands, and the result is trim."""
+        rng = random.Random(0x5A1)
+        small_trees = list(enumerate_trees(["a", "b"], 3))
+        empties = 0
+        for case in range(210):
+            left, right = random_nbta(rng), random_nbta(rng)
+            product = left.intersection(right)
+            for tree in small_trees:
+                expected = left.accepts(tree) and right.accepts(tree)
+                assert product.accepts(tree) == expected, (case, str(tree))
+            assert product.is_empty() == eager_product(left, right).is_empty(), case
+            witness = product.witness()
+            if witness is None:
+                empties += 1
+                assert product.is_empty(), case
+            else:
+                assert left.accepts(witness) and right.accepts(witness), case
+            assert product.reachable_states() == product.states, case
+            assert product.trimmed().states == product.states, case
+        assert 10 <= empties <= 200
+
+    def test_trimmed_is_idempotent_on_products(self):
+        product = has_a_automaton().intersection(has_a_automaton())
+        again = product.trimmed()
+        assert again.states == product.states
+        assert again.accepting == product.accepting
+        assert again.horizontal.keys() == product.horizontal.keys()
+
+    def test_bibliography_containment_product(self):
+        """The decision product on the bibliography DTD: no packing is
+        evicted while it is built, and the trimmed product has 12 states
+        (the count the eager construction gives)."""
+        dtd = parse_dtd(BIBLIOGRAPHY_DTD)
+        with obs.collecting() as stats:
+            result = decision.pattern_containment_counterexample(
+                "//author", "//title", dtd
+            )
+        assert result is not None
+        assert not stats.counters.get("engine.registry_evictions")
+        assert stats.counters["antichain.searches"] > 0
+        alphabet = sorted(dtd.to_tree_automaton().states, key=repr)
+        first = compile_pattern("//author", alphabet).compiled()
+        second = compile_pattern("//title", alphabet).compiled()
+        marked = decision._marked_dtd_automaton(dtd)
+        product = (
+            marked.intersection(decision._one_mark_automaton(marked.alphabet))
+            .intersection(first.to_nbta())
+            .intersection(second.complement().to_nbta())
+        )
+        assert len(product.states) == 12
+        assert product.trimmed().states == product.states
